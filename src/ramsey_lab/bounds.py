@@ -282,12 +282,14 @@ def size_ramsey_gnp(spec: CycleSpec) -> BoundReport:
 
     Sharp coefficient: c**2 * (c*ln(c) - (c-2)*ln(c-2)) / 2, also equal
     to c*d/2 at the critical density d; loose closed form
-    (ln(c) + 1) * c**2.
+    (ln(c) + 1) * c**2.  The sharp form is evaluated as
+    c**2 * (2*ln(c-2) - c*log1p(-2/c)) / 2, which does not cancel for
+    large c.
     """
     c = host_constant(spec)
     cf = float(c)
     d = threshold_solver.gnp_min_density(1 / c)
-    tight = cf * cf * (cf * math.log(cf) - (cf - 2.0) * math.log(cf - 2.0)) / 2.0
+    tight = cf * cf * (2.0 * math.log(cf - 2.0) - cf * math.log1p(-2.0 / cf)) / 2.0
     loose = (math.log(cf) + 1.0) * cf * cf
     return BoundReport(
         model="gnp",
@@ -341,7 +343,8 @@ def size_ramsey_bipartite(spec: CycleSpec) -> BoundReport:
     """Edge-count coefficient for the bipartite random host, all-even specs only.
 
     Host is G(N, N, d/N) with N = 81**t * n; sharp coefficient
-    2*c**2*(c*ln(c) - (c-1)*ln(c-1)) with c = 81**t, loose form
+    2*c**2*(c*ln(c) - (c-1)*ln(c-1)) with c = 81**t, evaluated without
+    cancellation as 2*c**2*(ln(c-1) - c*log1p(-1/c)); loose form
     2*c**2*(ln(c) + 1).
     """
     if spec.t_odd:
@@ -349,7 +352,7 @@ def size_ramsey_bipartite(spec: CycleSpec) -> BoundReport:
     c = Fraction(81) ** spec.t
     cf = float(c)
     d = threshold_solver.bipartite_min_density(1 / c)
-    tight = 2.0 * cf * cf * (cf * math.log(cf) - (cf - 1.0) * math.log(cf - 1.0))
+    tight = 2.0 * cf * cf * (math.log(cf - 1.0) - cf * math.log1p(-1.0 / cf))
     loose = 2.0 * cf * cf * (math.log(cf) + 1.0)
     return BoundReport(
         model="bipartite",

@@ -19,6 +19,7 @@ independently of execution order or thread count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,12 +31,14 @@ import numpy as np
 from . import __version__
 from .bounds import format_rational
 from .errors import CapExceededError
-from .constructions import Graph, serialize_edge_list
+from .constructions import Graph, _bits, serialize_edge_list
 
 SeedLike = Union[int, np.random.SeedSequence]
 
 HOLE_EXACT_VERTEX_CAP = 60
 HOLE_EXACT_SIZE_CAP = 8
+#: most expected rejection attempts a simple pairing draw may need
+PAIRING_ATTEMPTS_CAP = 100_000
 
 #: z for a central 95% normal interval
 _Z95 = 1.959963984540054
@@ -169,6 +172,10 @@ def sample_pairing(
     exactly d, loops counting twice.  With ``simple_only`` the draw is
     rejection-resampled until simple and the result is ``(Graph,
     attempts)``; otherwise a single ``Multigraph`` is returned.
+
+    A draw is simple with probability about exp(-(d*d - 1)/4)
+    (Bender-Canfield), so ``simple_only`` raises CapExceededError up front
+    when the expected number of attempts exceeds PAIRING_ATTEMPTS_CAP.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -178,6 +185,11 @@ def sample_pairing(
         raise ValueError(
             f"no simple {d}-regular graph on {n} vertices exists; rejection "
             "sampling would never terminate"
+        )
+    if simple_only and d * d - 1 > 4 * math.log(PAIRING_ATTEMPTS_CAP):
+        raise CapExceededError(
+            f"a simple {d}-regular pairing draw takes about exp((d*d - 1)/4) "
+            f"attempts, over the cap of {PAIRING_ATTEMPTS_CAP}"
         )
     rng = _rng(seed)
     attempts = 0
@@ -228,15 +240,6 @@ def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) 
     return all(adj[u] & right_mask == 0 for u in left)
 
 
-def _mask_first_bits(mask: int, k: int) -> frozenset:
-    out = []
-    while mask and len(out) < k:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def find_hole_exact(
     graph: Graph,
     s: int,
@@ -276,7 +279,7 @@ def find_hole_exact(
     def extend(start_idx: int, pool: int) -> Optional[HoleWitness]:
         if len(chosen) == s:
             if pool.bit_count() >= s:
-                return HoleWitness(frozenset(chosen), _mask_first_bits(pool, s))
+                return HoleWitness(frozenset(chosen), frozenset(_bits(pool)[:s]))
             return None
         for idx in range(start_idx, len(left_vertices)):
             if len(left_vertices) - idx < s - len(chosen):
@@ -298,6 +301,30 @@ def find_hole_exact(
     return extend(0, pool0)
 
 
+def _uniforms(rng: np.random.Generator, block: int):
+    """Endless stream of uniforms on [0, 1), drawn from ``rng`` a block at a time."""
+    while True:
+        yield from rng.random(block).tolist()
+
+
+def _draw_bits(pool: int, among: list[int], k: int, draws) -> list[int]:
+    """k distinct uniformly random set bits of ``pool``, in draw order.
+
+    ``among`` lists a superset of the pool's bits; draws from the uniform
+    stream ``draws`` pick from it and are rejected outside the pool.  The
+    pool must hold at least k bits.
+    """
+    out: list[int] = []
+    size = len(among)
+    for x in draws:
+        v = among[int(x * size)]
+        if pool >> v & 1 and v not in out:
+            out.append(v)
+            if len(out) == k:
+                break
+    return out
+
+
 def find_hole_heuristic(
     graph: Graph,
     s: int,
@@ -307,12 +334,20 @@ def find_hole_heuristic(
     """Randomized greedy hole search: one-sided (a miss proves nothing).
 
     Each restart grows the two sets together, usually extending the
-    currently smaller side with whichever of a few sampled candidates
+    currently smaller side with whichever of 8 sampled candidates
     eliminates the fewest options for the other side.  Pure greedy gets
     systematically stuck (e.g. it splits isolated vertices evenly across
     the sides even when the only hole needs them together), so side order
-    and candidate choice are each randomized part of the time.  Any find
-    is re-verified against the invariants before being returned.
+    and candidate choice are each randomized part of the time.
+
+    The two candidate pools are int bitsets over ``graph.adjacency_bitsets()``
+    and a candidate's damage is a popcount.  A restart ends as soon as a
+    pool holds fewer vertices than its side still needs, since it can no
+    longer finish; such a cut-short restart still counts as one of the
+    ``iters``.  Each restart takes a fresh block of uniforms from the one
+    generator seeded by ``seed``.  Any find is re-verified against the
+    invariants before being returned, and the first verified find in
+    restart order is the result.
     """
     if s < 1:
         raise ValueError("hole size must be at least 1")
@@ -320,24 +355,35 @@ def find_hole_heuristic(
     if 2 * s > n:
         return None
     rng = _rng(seed)
-    dense = np.zeros((n, n), dtype=bool)
-    for u, v in graph.edges:
-        dense[u, v] = dense[v, u] = True
+    adj = graph.adjacency_bitsets()
+    # clearing v from the pool v joins, and v with its neighbours from the other
+    drop_self = [~(1 << v) for v in range(n)]
+    drop_nbrs = [~(a | 1 << v) for v, a in enumerate(adj)]
 
     if graph.side is not None:
-        side = np.asarray(graph.side, dtype=np.int64)
-        base_left, base_right = side == 0, side == 1
-        if base_left.sum() < s or base_right.sum() < s:
+        base_left = sum(1 << v for v in graph.side_vertices(0))
+        base_right = sum(1 << v for v in graph.side_vertices(1))
+        if base_left.bit_count() < s or base_right.bit_count() < s:
             return None
     else:
-        base_left = base_right = np.ones(n, dtype=bool)
+        base_left = base_right = (1 << n) - 1
 
+    base_left_bits, base_right_bits = _bits(base_left), _bits(base_right)
+    # a restart uses about 10 uniforms per vertex it adds; it draws more if need be
+    block = 16 * s + 32
     for _ in range(max(1, iters)):
-        ok_left = base_left.copy()
-        ok_right = base_right.copy()
+        draws = _uniforms(rng, block)
+        ok_left, ok_right = base_left, base_right
+        # candidates are drawn uniformly from a list holding each pool and
+        # rejected outside it; a list is re-enumerated once its pool holds
+        # less than a third of it, so at least a third of the draws hit
+        among_left, among_right = base_left_bits, base_right_bits
         left: list[int] = []
         right: list[int] = []
         while len(left) < s or len(right) < s:
+            m_left, m_right = ok_left.bit_count(), ok_right.bit_count()
+            if m_left < s - len(left) or m_right < s - len(right):
+                break
             if len(left) == s:
                 grow_left = False
             elif len(right) == s:
@@ -345,23 +391,32 @@ def find_hole_heuristic(
             elif len(left) != len(right):
                 grow_left = len(left) < len(right)
             else:
-                grow_left = bool(rng.integers(2))
-            ok_here = ok_left if grow_left else ok_right
-            ok_other = ok_right if grow_left else ok_left
-            pool = np.flatnonzero(ok_here)
-            if pool.shape[0] == 0:
-                break
-            if rng.random() < 0.4:
-                v = int(pool[rng.integers(pool.shape[0])])
+                grow_left = next(draws) < 0.5
+            if grow_left:
+                if 3 * m_left < len(among_left):
+                    among_left = _bits(ok_left)
+                pool, m, among, ok_other = ok_left, m_left, among_left, ok_right
             else:
-                cands = (
-                    pool if pool.shape[0] <= 8 else rng.choice(pool, size=8, replace=False)
-                )
-                damage = [int(np.count_nonzero(dense[c] & ok_other)) for c in cands]
-                v = int(cands[int(np.argmin(damage))])
-            (left if grow_left else right).append(v)
-            ok_left[v] = ok_right[v] = False
-            ok_other &= ~dense[v]
+                if 3 * m_right < len(among_right):
+                    among_right = _bits(ok_right)
+                pool, m, among, ok_other = ok_right, m_right, among_right, ok_left
+            if next(draws) < 0.4:
+                (v,) = _draw_bits(pool, among, 1, draws)
+            else:
+                cands = _bits(pool) if m <= 8 else _draw_bits(pool, among, 8, draws)
+                v, least = -1, n + 1
+                for c in cands:
+                    damage = (adj[c] & ok_other).bit_count()
+                    if damage < least:
+                        v, least = c, damage
+            if grow_left:
+                left.append(v)
+                ok_left &= drop_self[v]
+                ok_right &= drop_nbrs[v]
+            else:
+                right.append(v)
+                ok_right &= drop_self[v]
+                ok_left &= drop_nbrs[v]
         if len(left) == s and len(right) == s:
             witness = HoleWitness(frozenset(left), frozenset(right))
             if graph.side is None and min(witness.right) < min(witness.left):
@@ -422,16 +477,15 @@ class TrialReport:
         }
 
 
-def _worker_count(max_workers: Optional[int]) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get("RAMSEY_LAB_THREADS", "")
-    if env.strip():
+def _worker_count(max_workers: Optional[int], trials: int) -> int:
+    """The argument, else RAMSEY_LAB_THREADS, else 1; at most one per CPU and trial."""
+    if max_workers is None:
+        env = os.environ.get("RAMSEY_LAB_THREADS", "")
         try:
-            return max(1, int(env))
+            max_workers = int(env) if env.strip() else 1
         except ValueError as exc:
             raise ValueError(f"RAMSEY_LAB_THREADS must be an integer, got {env!r}") from exc
-    return 1
+    return max(1, min(int(max_workers), os.cpu_count() or 1, trials))
 
 
 def estimate_hole_probability(
@@ -454,7 +508,8 @@ def estimate_hole_probability(
     simple support of the multigraph, which has the same holes).  ``mode``
     is "exact", "heuristic", or "auto" (exact whenever the caps allow).
     Trial i is seeded from (seed, i), so reports are identical for any
-    worker count; workers default to 1 or the RAMSEY_LAB_THREADS env var.
+    worker count; workers default to 1 or the RAMSEY_LAB_THREADS env var,
+    and are capped by the CPU count and the number of trials.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -504,7 +559,7 @@ def estimate_hole_probability(
             return find_hole_exact(g, s) is not None
         return find_hole_heuristic(g, s, iters=iters, seed=child_seed(seed, i, 1)) is not None
 
-    workers = _worker_count(max_workers)
+    workers = _worker_count(max_workers, trials)
     indices = range(trials)
     if workers == 1:
         outcomes = [run_trial(i) for i in indices]
@@ -543,4 +598,5 @@ __all__ = [
     "wilson_interval",
     "HOLE_EXACT_VERTEX_CAP",
     "HOLE_EXACT_SIZE_CAP",
+    "PAIRING_ATTEMPTS_CAP",
 ]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 import random
 
@@ -161,7 +162,7 @@ def test_gnp_report_frozen():
     odd = size_ramsey_gnp(CycleSpec.of(5, 5))
     assert odd.c == 95412
     assert odd.d == pytest.approx(2378802.2815068355, rel=1e-12)
-    assert odd.coefficient == pytest.approx(113483141640.99582, rel=1e-12)
+    assert odd.coefficient == pytest.approx(113483141641.56509, rel=1e-12)
     assert odd.coefficient_loose == pytest.approx(113483237054.23177, rel=1e-12)
     even = size_ramsey_gnp(CycleSpec.of(6, 6))
     assert even.coefficient_loose == pytest.approx(2514110254.4064865, rel=1e-12)
@@ -180,6 +181,35 @@ def test_bipartite_report_frozen():
     assert rep.c == 6561
     assert rep.coefficient == pytest.approx(842753387.5063326, rel=1e-12)
     assert rep.coefficient_loose == pytest.approx(842759948.8394814, rel=1e-12)
+
+
+def _sharp_reference(c: Fraction, gap: int) -> float:
+    """c*ln(c) - (c-gap)*ln(c-gap) at 60 digits, the bracket of both sharp forms."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(c.numerator) / c.denominator
+        return float(x * mpmath.log(x) - (x - gap) * mpmath.log(x - gap))
+
+
+@pytest.mark.parametrize("lengths", [(5, 5), (3, 3, 3)])
+def test_gnp_sharp_coefficient_high_precision(lengths):
+    """At c = 95412 and c = 150737781250 the binary64 value is within 1e-14.
+
+    The direct form c*ln(c) - (c-2)*ln(c-2) cancels: it was 5e-12 off at
+    c = 95412 and 8.6e-6 off at c = 1.5e11.
+    """
+    rep = size_ramsey_gnp(CycleSpec.of(*lengths))
+    c = Fraction(rep.c)
+    expected = float(c) ** 2 * _sharp_reference(c, 2) / 2
+    assert rep.coefficient == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("lengths", [(4, 4, 4), (4, 4, 4, 4)])
+def test_bipartite_sharp_coefficient_high_precision(lengths):
+    """At c = 81**3 and 81**4 the binary64 value is within 1e-14 (was 1.5e-11 off at 81**3)."""
+    rep = size_ramsey_bipartite(CycleSpec.of(*lengths))
+    c = Fraction(rep.c)
+    expected = 2 * float(c) ** 2 * _sharp_reference(c, 1)
+    assert rep.coefficient == pytest.approx(expected, rel=1e-14)
 
 
 def test_bipartite_requires_all_even():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -77,6 +78,19 @@ def test_simulate_pairing_simple_only(capsys):
     assert doc["attempts"] >= 10
     assert doc["acceptance_rate"] == doc["trials"] / doc["attempts"]
     assert doc["ci_low"] <= doc["acceptance_rate"] <= doc["ci_high"]
+
+
+def test_simulate_pairing_simple_only_refuses_hopeless_degree(capsys):
+    """d = 12 needs about exp(35.75) draws per simple graph: exit 3 at once, not a hang."""
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "simulate", "--model", "pairing", "--N", "100", "--d", "12",
+        "--seed", "1", "--simple-only",
+    )
+    assert rc == 3
+    assert out == ""
+    assert "cap" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_construct_leaf_tree_golden(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -111,6 +112,15 @@ def test_pairing_simple_only():
     # impossible regularity is rejected up front instead of looping forever
     with pytest.raises(ValueError, match="never terminate"):
         rm.sample_pairing(4, 4, 0, simple_only=True)
+
+
+def test_pairing_simple_only_caps_hopeless_degrees():
+    """exp((d*d - 1)/4) expected attempts: d = 6 is under the cap, d = 7 and up refused."""
+    assert 6 * 6 - 1 <= 4 * math.log(rm.PAIRING_ATTEMPTS_CAP) < 7 * 7 - 1
+    for n, d in ((8, 7), (100, 12), (10**6, 1000)):
+        with pytest.raises(CapExceededError):
+            rm.sample_pairing(n, d, 0, simple_only=True)
+    assert isinstance(rm.sample_pairing(100, 12, 0), Multigraph)  # multigraphs are uncapped
 
 
 def test_pairing_simple_acceptance_rate():
@@ -223,6 +233,46 @@ def test_heuristic_trivial_and_degenerate():
         rm.find_hole_heuristic(Graph.empty(4), 0)
 
 
+def test_heuristic_recall_floor_on_exact_holes():
+    """Recall at the exact-search scale, so that a weaker search fails.
+
+    For seeds 0..39, the exact search proves a size-8 hole in 29 of the
+    G(52, 0.42) hosts.  The earlier implementation of this search on numpy
+    bool rows found 11 of them with 100 restarts, which is the floor; the
+    bitset search finds 15, and either finds about 1 with 10 restarts.
+    """
+    holes = finds = 0
+    for seed in range(40):
+        g = rm.sample_gnp(52, 0.42, seed)
+        if rm.find_hole_exact(g, 8) is None:
+            continue
+        holes += 1
+        w = rm.find_hole_heuristic(g, 8, iters=100, seed=seed)
+        if w is not None:
+            assert rm.verify_hole(g, w, 8)
+            finds += 1
+    assert holes == 29
+    assert finds >= 11
+
+
+def test_heuristic_bipartite_witness_spans_both_classes():
+    # K_{10,10} minus the block {0..3} x {10..13}: that block is the only 4-hole
+    block = {(u, v) for u in range(4) for v in range(10, 14)}
+    kb = Graph.complete_bipartite(10, 10)
+    g = Graph(20, [e for e in kb.edges if e not in block], side=kb.side)
+    w = rm.find_hole_heuristic(g, 4, iters=50, seed=3)
+    assert w == HoleWitness(frozenset(range(4)), frozenset(range(10, 14)))
+    assert rm.verify_hole(g, w, 4)
+
+    # each of these sparse hosts holds a 4-hole, and the search finds them all
+    for seed in range(20):
+        g = rm.sample_bipartite(16, 16, 0.25, seed)
+        w = rm.find_hole_heuristic(g, 4, iters=100, seed=seed)
+        assert w is not None and rm.verify_hole(g, w, 4)
+        assert {g.side[v] for v in w.left} == {0}
+        assert {g.side[v] for v in w.right} == {1}
+
+
 def test_heuristic_agrees_with_exact_search():
     """On hosts where the exact search finds a hole, the heuristic rarely misses."""
     cases = misses = 0
@@ -301,6 +351,19 @@ def test_estimate_env_var_worker_count(monkeypatch):
     monkeypatch.setenv("RAMSEY_LAB_THREADS", "lots")
     with pytest.raises(ValueError):
         rm.estimate_hole_probability("gnp", 16, 2, 12, 3, p=0.3)
+
+
+def test_worker_count_bounded_by_cpus_and_trials(monkeypatch):
+    threads = threading.active_count()
+    monkeypatch.setenv("RAMSEY_LAB_THREADS", "100000")
+    monkeypatch.setattr(rm.os, "cpu_count", lambda: 4)
+    assert rm._worker_count(None, 1000) == 4
+    assert rm._worker_count(None, 3) == 3
+    assert rm._worker_count(100000, 1000) == 4
+    assert rm._worker_count(0, 1000) == 1
+    monkeypatch.setattr(rm.os, "cpu_count", lambda: None)  # count unknown
+    assert rm._worker_count(None, 1000) == 1
+    assert threading.active_count() == threads
 
 
 def test_estimate_report_schema():
