@@ -7,9 +7,12 @@ branch dies as soon as some color class already contains its target
 (recoloring other edges cannot remove it), and a coloring that survives
 to the end is a counterexample — a *good coloring*.
 
-Targets are exact-length cycles and bicliques.  Containment tests are
-exact backtracking searches, cached per (target, color-class bitmask)
-since the DFS revisits the same class many times.
+Targets are exact-length cycles and bicliques.  The search keeps one
+adjacency bitset list per color and tests only the newly colored edge:
+the class was target-free before it, so a new target must use it (a
+cycle closes through it, a biclique has it as a cross edge).  Every
+returned good coloring is re-verified by the whole-graph containment
+tests, which share no code with the through-edge tests.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .constructions import Graph
+from .constructions import Graph, _bits
 from .errors import CapExceededError
 
 ARROW_EDGE_CAP = 21
@@ -242,12 +245,17 @@ def verify_coloring_avoids_targets(
     targets: tuple[Target, ...],
     respect_bipartition: bool = False,
 ) -> bool:
-    """Independent witness check: no color class i contains target i."""
+    """Independent witness check: no color class i contains target i.
+
+    An edgeless class holds no target, so it is not searched (and does
+    not meet the vertex cap of the containment tests).
+    """
     host = coloring.host
     for i, target in enumerate(targets, start=1):
-        if class_contains_target(
+        class_edges = coloring.color_class(i)
+        if class_edges and class_contains_target(
             host.n,
-            coloring.color_class(i),
+            class_edges,
             target,
             side=host.side,
             respect_bipartition=respect_bipartition,
@@ -257,6 +265,75 @@ def verify_coloring_avoids_targets(
 
 
 # ── the search ───────────────────────────────────────────────────────────────
+
+
+def _path_of_length(adj: list[int], x: int, v: int, avoid: int, edges: int) -> bool:
+    """A simple x-v path of exactly `edges` >= 2 edges whose inner vertices avoid `avoid`."""
+    if edges == 2:
+        return bool(adj[x] & adj[v] & ~avoid)
+    options = adj[x] & ~avoid
+    while options:
+        low = options & -options
+        options ^= low
+        if _path_of_length(adj, low.bit_length() - 1, v, avoid | low, edges - 1):
+            return True
+    return False
+
+
+def _biclique_with_cross_edge(
+    adj: list[int], a: int, b: int, a_pool: int, b_pool: int, m1: int, m2: int
+) -> bool:
+    """A biclique A (|A|=m1, a in A, A within a_pool), B (|B|=m2, b in B, B within b_pool).
+
+    The rest of A lies in N(b); B is then any m2 vertices of the common
+    neighbourhood of A, which holds b and, without loops, misses A.  `a`
+    must lie in a_pool and `b` in b_pool.
+    """
+    around_a = adj[a] & b_pool
+    if around_a.bit_count() < m2:
+        return False
+    for rest in combinations(_bits(adj[b] & a_pool & ~(1 << a)), m1 - 1):
+        common = around_a
+        for x in rest:
+            common &= adj[x]
+            if common.bit_count() < m2:
+                break
+        else:
+            return True
+    return False
+
+
+def _through_edge_test(target: Target, host: Graph, respect_bipartition: bool):
+    """test(adj, u, v): does the class `adj`, holding edge uv, contain `target` through uv?"""
+    if isinstance(target, CycleTarget):
+        edges = target.length - 1
+
+        def cycle(adj: list[int], u: int, v: int) -> bool:
+            return _path_of_length(adj, u, v, 1 << u | 1 << v, edges)
+
+        return cycle
+    m1, m2 = target.m1, target.m2
+    # the class-0 endpoint (any endpoint without classes) on the m1 side or the m2 side
+    sizes = [(m1, m2)] if m1 == m2 else [(m1, m2), (m2, m1)]
+    side = host.side if respect_bipartition else None
+    if side is None:
+        pool_a = pool_b = (1 << host.n) - 1
+    else:
+        pool_a = sum(1 << x for x in host.side_vertices(0))
+        pool_b = sum(1 << x for x in host.side_vertices(1))
+
+    def biclique(adj: list[int], u: int, v: int) -> bool:
+        if side is not None:
+            if side[u] == side[v]:
+                return False  # never a cross edge of a biclique across the classes
+            if side[u]:
+                u, v = v, u
+        return any(
+            _biclique_with_cross_edge(adj, u, v, pool_a, pool_b, s1, s2)
+            for s1, s2 in sizes
+        )
+
+    return biclique
 
 
 def _search(
@@ -272,31 +349,23 @@ def _search(
         raise CapExceededError(
             f"arrow search capped at {edge_cap} edges, host has {m}"
         )
+    if m and host.n > TARGET_VERTEX_CAP:
+        raise CapExceededError(
+            f"target search capped at {TARGET_VERTEX_CAP} vertices, host has {host.n}"
+        )
 
     # color edges in descending endpoint-degree order: dense corners first
     deg = host.degrees()
     order = sorted(range(m), key=lambda i: (-(deg[host.edges[i][0]] + deg[host.edges[i][1]]), i))
     edges = [host.edges[i] for i in order]
 
-    # bitmask per color class over positions in `edges`
-    cache: dict[tuple[int, int], bool] = {}
-
-    def class_has_target(color: int, mask: int) -> bool:
-        key = (color, mask)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        chosen = tuple(edges[i] for i in range(m) if mask >> i & 1)
-        result = class_contains_target(
-            host.n, chosen, targets[color - 1], side=host.side,
-            respect_bipartition=respect_bipartition,
-        )
-        cache[key] = result
-        return result
-
+    # cadj[c][x]: neighbours of x in color class c; entry 0 is unused
+    cadj = [[0] * host.n for _ in range(k + 1)]
+    contains = [None] + [
+        _through_edge_test(t, host, respect_bipartition) for t in targets
+    ]
     assignments = 0
     colors = [0] * m
-    masks = [0] * (k + 1)
     # when all targets coincide, color permutations act trivially: fix edge 0
     first_edge_choices = 1 if (m and len(set(targets)) == 1) else k
 
@@ -304,16 +373,22 @@ def _search(
         nonlocal assignments
         if i == m:
             return list(colors)
+        u, v = edges[i]
+        bu, bv = 1 << u, 1 << v
         allowed = range(1, first_edge_choices + 1) if i == 0 else range(1, k + 1)
         for c in allowed:
             assignments += 1
-            masks[c] |= 1 << i
+            adj = cadj[c]
+            adj[u] |= bv
+            adj[v] |= bu
             colors[i] = c
-            if not class_has_target(c, masks[c]):
+            # class c was target-free without uv, so a new target uses uv
+            if not contains[c](adj, u, v):
                 good = dfs(i + 1)
                 if good is not None:
                     return good
-            masks[c] &= ~(1 << i)
+            adj[u] ^= bv
+            adj[v] ^= bu
             colors[i] = 0
         return None
 

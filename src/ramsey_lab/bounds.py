@@ -277,6 +277,11 @@ def _constraint_ok(spec: CycleSpec, c: Fraction) -> bool:
     return all(validate_length_constraints(spec, c * spec.n_max))
 
 
+def _check_finite(tight: float, loose: float, model: str, cf: float) -> None:
+    if not (math.isfinite(tight) and math.isfinite(loose)):
+        raise ValueError(f"{model} coefficient at c = {cf:.6g} overflows binary64")
+
+
 def size_ramsey_gnp(spec: CycleSpec) -> BoundReport:
     """Edge-count coefficient for the binomial random host G(c*n, d/N).
 
@@ -287,10 +292,11 @@ def size_ramsey_gnp(spec: CycleSpec) -> BoundReport:
     large c.
     """
     c = host_constant(spec)
-    cf = float(c)
+    cf = threshold_solver._binary64(c, "host constant c")
     d = threshold_solver.gnp_min_density(1 / c)
     tight = cf * cf * (2.0 * math.log(cf - 2.0) - cf * math.log1p(-2.0 / cf)) / 2.0
     loose = (math.log(cf) + 1.0) * cf * cf
+    _check_finite(tight, loose, "gnp", cf)
     return BoundReport(
         model="gnp",
         c=c,
@@ -350,10 +356,11 @@ def size_ramsey_bipartite(spec: CycleSpec) -> BoundReport:
     if spec.t_odd:
         raise ValueError("bipartite bound requires every cycle length to be even")
     c = Fraction(81) ** spec.t
-    cf = float(c)
+    cf = threshold_solver._binary64(c, "host constant c")
     d = threshold_solver.bipartite_min_density(1 / c)
     tight = 2.0 * cf * cf * (math.log(cf - 1.0) - cf * math.log1p(-1.0 / cf))
     loose = 2.0 * cf * cf * (math.log(cf) + 1.0)
+    _check_finite(tight, loose, "bipartite", cf)
     return BoundReport(
         model="bipartite",
         c=c,

@@ -176,6 +176,8 @@ def sample_pairing(
     A draw is simple with probability about exp(-(d*d - 1)/4)
     (Bender-Canfield), so ``simple_only`` raises CapExceededError up front
     when the expected number of attempts exceeds PAIRING_ATTEMPTS_CAP.
+    That estimate is asymptotic in n and far too low for small n, so the
+    attempts actually made are capped at PAIRING_ATTEMPTS_CAP as well.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -194,6 +196,11 @@ def sample_pairing(
     rng = _rng(seed)
     attempts = 0
     while True:
+        if attempts == PAIRING_ATTEMPTS_CAP:
+            raise CapExceededError(
+                f"no simple {d}-regular pairing draw on {n} vertices in "
+                f"{PAIRING_ATTEMPTS_CAP} attempts"
+            )
         attempts += 1
         pairs = _pairing_edges(n, d, rng)
         deg = np.bincount(pairs.ravel(), minlength=n)

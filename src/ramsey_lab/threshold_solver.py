@@ -27,6 +27,7 @@ of the same count bit-for-bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -67,6 +68,25 @@ def ln_fraction(x: Fraction) -> float:
     if x <= 0:
         raise ValueError("ln_fraction requires a positive rational")
     return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _binary64(x: Rational, what: str) -> float:
+    """float(x) for a positive rational, or ValueError beyond the binary64 range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(
+            f"{what} has {len(str(int(x)))} digits, beyond the binary64 range "
+            "(about 1.8e308)"
+        ) from None
+
+
+def _check_rho_squared(r: float, model: str) -> None:
+    # the thresholds divide by rho**2, which must not underflow
+    if r * r < sys.float_info.min:
+        raise ValueError(
+            f"{model} density needs rho**2 inside the binary64 range, got rho = {r:.6g}"
+        )
 
 
 # ── problem / result records ─────────────────────────────────────────────────
@@ -163,6 +183,7 @@ def gnp_min_density(rho: Union[Rational, float]) -> float:
     r = float(rho)
     if not 0.0 < r < 0.5:
         raise ValueError(f"gnp density needs 0 < rho < 1/2, got {rho}")
+    _check_rho_squared(r, "gnp")
     # log1p keeps precision when rho is tiny (1 - 2*rho close to 1).
     return -((1.0 - 2.0 * r) * math.log1p(-2.0 * r) + 2.0 * r * math.log(r)) / (r * r)
 
@@ -175,6 +196,7 @@ def bipartite_min_density(rho: Union[Rational, float]) -> float:
     r = float(rho)
     if not 0.0 < r < 1.0:
         raise ValueError(f"bipartite density needs 0 < rho < 1, got {rho}")
+    _check_rho_squared(r, "bipartite")
     return -(2.0 * (1.0 - r) * math.log1p(-r) + 2.0 * r * math.log(r)) / (r * r)
 
 
@@ -330,7 +352,7 @@ def regular_min_density(
     if not 0.0 < tolerance < 1.0:
         raise ValueError("tolerance must lie in (0, 1)")
 
-    cf = float(c)
+    cf = _binary64(c, "regular model c")
     grid = np.linspace(0.0, 1.0, grid_points + 1)
     k1_vals = _k1_grid(cf, grid)
 
@@ -393,7 +415,7 @@ def check_density_certificate(
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
 
-    cf, df = float(c), float(d)
+    cf, df = _binary64(c, "regular model c"), _binary64(d, "density d")
     grid = np.linspace(0.0, 1.0, grid_points + 1)
     k0f = g(cf) - g(cf - 2.0)
     f_vals = k0f + _k1_grid(cf, grid) * df

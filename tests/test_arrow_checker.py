@@ -252,13 +252,13 @@ def test_find_good_coloring_duality():
         assert (col is None) == res.arrows
 
 
-def oracle_arrows(host: Graph, targets) -> bool:
+def oracle_arrows(host: Graph, targets, respect_bipartition: bool = False) -> bool:
     """Plain enumeration of every coloring; no pruning, no cache."""
     k = len(targets)
     m = host.edge_count
     for assign in product(range(1, k + 1), repeat=m):
         col = EdgeColoring(host, assign)
-        if ac.verify_coloring_avoids_targets(col, targets):
+        if ac.verify_coloring_avoids_targets(col, targets, respect_bipartition):
             return False
     return True
 
@@ -282,7 +282,100 @@ def test_arrows_matches_enumeration_oracle():
         for targets in target_sets:
             assert ac.arrows(host, targets).arrows == oracle_arrows(host, targets)
             checked += 1
-    assert checked >= 12
+
+    # long cycles, mixed targets, isolated vertices (the last vertices of n)
+    wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    long_hosts = [
+        Graph.cycle(6).with_edge(0, 3),
+        wheel,
+        Graph(9, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (3, 5)]),
+        Graph(8, [e for e in combinations(range(5), 2) if e != (0, 1)]),
+        Graph.complete_bipartite(3, 3),
+    ]
+    for trial in range(4):
+        edges = [e for e in combinations(range(6), 2) if rng.random() < 0.6][:10]
+        long_hosts.append(Graph(8, edges))
+    # K1x1 forces every edge into color 1; K1x2 leaves color 2 a matching
+    long_sets = [
+        (CycleTarget(5), BicliqueTarget(1, 1)),
+        (BicliqueTarget(1, 1), CycleTarget(6)),
+        (CycleTarget(6), BicliqueTarget(1, 2)),
+        (BicliqueTarget(1, 2), CycleTarget(5)),
+        (CycleTarget(5), BicliqueTarget(1, 3)),
+        (CycleTarget(5), CycleTarget(3)),
+        (CycleTarget(6), CycleTarget(4)),
+        (BicliqueTarget(2, 2), CycleTarget(5)),
+    ]
+    for host in long_hosts:
+        for targets in long_sets:
+            assert ac.arrows(host, targets).arrows == oracle_arrows(host, targets)
+            checked += 1
+
+    # asymmetric bicliques across the classes, against a class-respecting oracle
+    bip_hosts = [
+        Graph.complete_bipartite(2, 3),
+        Graph.complete_bipartite(1, 4),
+        Graph.complete_bipartite(3, 2),
+        Graph.complete_bipartite(3, 3),
+    ]
+    for trial in range(4):
+        a, b = rng.randint(2, 3), rng.randint(2, 4)
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < 0.8]
+        bip_hosts.append(Graph(a + b + 1, edges, side=[0] * a + [1] * (b + 1)))
+    # edges inside a class are never cross edges of a class-respecting biclique
+    bip_hosts.append(Graph(
+        6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 3), (2, 5), (0, 1), (3, 4), (4, 5)],
+        side=[0, 0, 0, 1, 1, 1],
+    ))
+    bip_sets = [
+        (BicliqueTarget(1, 2), BicliqueTarget(1, 2)),
+        (BicliqueTarget(1, 3), BicliqueTarget(2, 1)),
+        (BicliqueTarget(2, 1), BicliqueTarget(1, 2)),
+        (BicliqueTarget(1, 2), BicliqueTarget(2, 2)),
+        (BicliqueTarget(2, 3), BicliqueTarget(1, 1)),
+        (BicliqueTarget(1, 2), CycleTarget(4)),
+    ]
+    for host in bip_hosts:
+        for targets in bip_sets:
+            assert ac.bipartite_arrows(host, targets).arrows == oracle_arrows(
+                host, targets, respect_bipartition=True
+            )
+            checked += 1
+    assert checked >= 12 + 9 * 8 + 9 * 6
+
+
+def test_arrows_frozen_counts():
+    """Answers and colorings_examined of the deterministic search, frozen."""
+    cases = [
+        (ac.arrows, Graph.complete(7), (CycleTarget(3), CycleTarget(4)), True, 14156),
+        (ac.arrows, Graph.complete(6), (CycleTarget(4), CycleTarget(4)), True, 2083),
+        (ac.arrows, Graph.complete(7), (CycleTarget(5), CycleTarget(5)), False, 134),
+        (ac.bipartite_arrows, Graph.complete_bipartite(4, 4),
+         (BicliqueTarget(2, 2), BicliqueTarget(2, 2)), False, 119),
+        (ac.bipartite_arrows, Graph.complete_bipartite(1, 5),
+         (BicliqueTarget(1, 3), BicliqueTarget(1, 3)), True, 19),
+        (ac.bipartite_arrows, Graph.complete_bipartite(3, 4),
+         (BicliqueTarget(1, 2), BicliqueTarget(2, 1)), True, 10),
+    ]
+    for search, host, targets, answer, count in cases:
+        r = search(host, targets)
+        assert (r.arrows, r.colorings_examined) == (answer, count)
+
+
+def test_arrows_vertex_cap_applies_to_hosts_with_edges():
+    path = Graph(22, [(i, i + 1) for i in range(21)])  # 21 edges: inside the edge cap
+    with pytest.raises(CapExceededError, match="22"):
+        ac.arrows(path, (CycleTarget(3), CycleTarget(3)))
+    r = ac.arrows(Graph.empty(25), (CycleTarget(3), CycleTarget(3)))
+    assert not r.arrows and r.witness.colors == () and r.colorings_examined == 0
+
+
+def test_search_rechecks_every_witness(monkeypatch):
+    monkeypatch.setattr(ac, "verify_coloring_avoids_targets", lambda *a, **k: False)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        ac.arrows(Graph.complete(5), (CycleTarget(3), CycleTarget(3)))
+    # an arrowing host returns no witness, so there is nothing to re-check
+    assert ac.arrows(Graph.complete(6), (CycleTarget(3), CycleTarget(3))).arrows
 
 
 def test_arrows_monotone_under_edge_addition():

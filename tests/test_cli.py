@@ -93,6 +93,19 @@ def test_simulate_pairing_simple_only_refuses_hopeless_degree(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_simulate_pairing_simple_only_caps_attempts(capsys):
+    """exp((d*d - 1)/4) predicts about 6,300 draws, but on 7 vertices far more are needed."""
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "simulate", "--model", "pairing", "--N", "7", "--d", "6",
+        "--seed", "1", "--trials", "2", "--simple-only",
+    )
+    assert rc == 3
+    assert out == ""
+    assert "100000 attempts" in err
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_construct_leaf_tree_golden(capsys):
     rc, out, _ = run_cli(capsys, "construct", "--leaf-tree", "37")
     assert rc == 0
@@ -207,6 +220,39 @@ def test_exit_code_usage_errors(capsys):
 def test_exit_code_cap_exceeded(capsys):
     rc, _, err = run_cli(capsys, "arrow", "--host", "K8", "--targets", "C3,C3")
     assert rc == 3 and "cap" in err
+
+
+def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
+    path = tmp_path / "path22.txt"
+    path.write_text("22 21\n" + "".join(f"{i} {i + 1}\n" for i in range(21)))
+    rc, out, err = run_cli(capsys, "arrow", "--host", f"@{path}", "--targets", "C3,C3")
+    assert rc == 3 and out == "" and "capped at 20 vertices" in err
+
+
+def _assert_one_line_usage_error(rc: int, out: str, err: str) -> None:
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bounds_seven_cycles_underflow_is_usage_error(capsys):
+    # c = 82 * 35**126: rho**2 underflows to 0 in binary64
+    rc, out, err = run_cli(capsys, "bounds", "--cycles", "3,3,3,3,3,3,3")
+    _assert_one_line_usage_error(rc, out, err)
+    assert "rho**2" in err
+
+
+def test_bounds_eight_cycles_overflow_is_usage_error(capsys):
+    # c = 82 * 35**254 is beyond the largest binary64
+    rc, out, err = run_cli(capsys, "bounds", "--cycles", "3,3,3,3,3,3,3,3")
+    _assert_one_line_usage_error(rc, out, err)
+    assert "binary64" in err
+
+
+def test_solve_regular_huge_c_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "solve", "--model", "regular", "--c", "1e400")
+    _assert_one_line_usage_error(rc, out, err)
+    assert "binary64" in err
 
 
 def test_exit_code_infeasible(capsys, monkeypatch):
