@@ -311,7 +311,6 @@ def size_ramsey_regular(
     spec: CycleSpec,
     d: Rational,
     verify: bool = True,
-    grid_points: int = 100_000,
 ) -> BoundReport:
     """Edge-count coefficient c*d/2 for the random d-regular host on c*n vertices.
 
@@ -327,7 +326,7 @@ def size_ramsey_regular(
     if verify:
         if d == 0:
             raise ValueError("d=0 is not certifiable; pass verify=False for degenerate input")
-        check = threshold_solver.check_density_certificate(c, d, grid_points=grid_points)
+        check = threshold_solver.check_density_certificate(c, d)
         if not check.ok:
             raise ValueError(
                 f"d={d} is not certified for c={c}: exponent "

@@ -105,10 +105,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 # ── bounds ───────────────────────────────────────────────────────────────────
 
 
-def _bound_rows(spec: CycleSpec, grid_points: int) -> list[dict]:
+def _bound_rows(spec: CycleSpec) -> list[dict]:
     rows = []
     reports: list[BoundReport] = [size_ramsey_gnp(spec)]
-    solved = regular_min_density(host_constant(spec), grid_points=grid_points)
+    solved = regular_min_density(host_constant(spec))
     reports.append(size_ramsey_regular(spec, solved.d_min))
     if spec.t_odd == 0:
         reports.append(size_ramsey_bipartite(spec))
@@ -123,7 +123,7 @@ def _bound_rows(spec: CycleSpec, grid_points: int) -> list[dict]:
 def cmd_bounds(args) -> str:
     lengths = _parse_int_list(args.cycles, "--cycles")
     spec = CycleSpec.of(*lengths)
-    rows = _bound_rows(spec, args.grid)
+    rows = _bound_rows(spec)
     if args.format == "json":
         doc = {"cycles": list(spec.lengths), "bounds": rows}
         return json.dumps(doc, sort_keys=False) + "\n"
@@ -149,7 +149,7 @@ def cmd_solve(args) -> str:
     if c <= 0:
         raise ValueError(f"density constant must be positive, got {format_rational(c)}")
     if args.model == "regular":
-        res = regular_min_density(c, grid_points=args.grid, tolerance=args.tol)
+        res = regular_min_density(c)
         doc = res.as_dict()
         doc["density_ceiling"] = math.ceil(res.d_min)
     else:
@@ -296,7 +296,7 @@ def _coefficient_row(name: str, computed: float, reference_units: int) -> dict:
     }
 
 
-def reproduce_rows(grid_points: int = 100_000) -> list[dict]:
+def reproduce_rows() -> list[dict]:
     """Recompute every headline constant from scratch and compare."""
     ref = REFERENCE_VALUES
     rows: list[dict] = []
@@ -346,7 +346,7 @@ def reproduce_rows(grid_points: int = 100_000) -> list[dict]:
     for spec, parity in ((two_odd, "odd"), (two_even, "even")):
         c = host_constant(spec)
         d_ref = ref[f"regular_two_{parity}_density"]
-        solved = regular_min_density(c, grid_points=grid_points)
+        solved = regular_min_density(c)
         cert = check_density_certificate(c, d_ref)
         coeff = size_ramsey_regular(spec, float(d_ref), verify=False).coefficient
         units = coeff / 10**6
@@ -368,7 +368,7 @@ def reproduce_rows(grid_points: int = 100_000) -> list[dict]:
 
 
 def cmd_reproduce(args) -> str:
-    rows = reproduce_rows(grid_points=args.grid)
+    rows = reproduce_rows()
     if args.json:
         doc = {"rows": rows, "all_pass": all(r["pass"] for r in rows)}
         return json.dumps(doc) + "\n"
@@ -405,14 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="linear upper-bound coefficients for a cycle family")
     p.add_argument("--cycles", required=True, help="comma-separated cycle lengths, e.g. 7,9,11")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--grid", type=int, default=100_000, help="solver grid points")
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("solve", help="minimum density threshold for a model")
     p.add_argument("--model", choices=("regular", "gnp", "bipartite"), required=True)
     p.add_argument("--c", required=True, help="density constant, rational like 95412 or 538002/35")
-    p.add_argument("--grid", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(handler=cmd_solve)
 
@@ -446,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="recompute headline reference constants, PASS/FAIL each")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--grid", type=int, default=100_000)
     p.set_defaults(handler=cmd_reproduce)
 
     return parser

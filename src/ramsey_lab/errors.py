@@ -14,8 +14,8 @@ class CapExceededError(RuntimeError):
 class InfeasibleDensityError(RuntimeError):
     """No finite edge density makes the hole exponent nonpositive.
 
-    Carries the witnessing grid point ``a`` where the d-coefficient of the
-    exponent is nonnegative while the constant part is positive.
+    Carries the nuisance parameter ``a`` at which the d-coefficient of the
+    exponent is not certifiably negative while the constant part is positive.
     """
 
     def __init__(self, message: str, a: float | None = None):

@@ -14,10 +14,12 @@ becomes nonpositive:
   affine in d, so the per-a threshold is a ratio of the two affine
   coefficients and the solve is a one-dimensional maximisation.
 
-Floating binary64 is good enough everywhere except near the optimum of
-the regular-model exponent at headline sizes (c ~ 1e5), where the terms
-cancel down from ~1e6 to ~1e-5; those few points are re-verified with
-mpmath at 40 significant digits before anything is certified.
+The regular-model slope k1(a) is strictly concave, so its maximiser a*
+is the root of a cubic.  a* is bracketed by exact bisection, and k0 and
+k1 are evaluated once over the bracket in ``mpmath.iv`` interval
+arithmetic, at a precision that grows with log2(c) because the terms of
+k1 (~c*ln(c)) cancel down to ~ln(c)/c.  The solved density and the
+certificate both read off that one rigorous enclosure.
 
 Also here: the exact (big-integer) first moment of holes in the pairing
 model, kept in ``fractions.Fraction`` so tests can compare two spellings
@@ -28,19 +30,17 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Optional, Union
+from typing import Union
 
-import mpmath as mp
-import numpy as np
+from mpmath import iv
 
 from .errors import InfeasibleDensityError
 
 Rational = Union[int, Fraction]
-
-_MP_DPS = 40  # working precision (decimal digits) for the verification stage
 
 
 # ── scalar helpers ───────────────────────────────────────────────────────────
@@ -51,15 +51,6 @@ def g(x: float) -> float:
     if x < 0:
         raise ValueError(f"g(x)=x*ln(x) needs x >= 0, got {x}")
     return 0.0 if x == 0 else x * math.log(x)
-
-
-def _g_np(x: np.ndarray) -> np.ndarray:
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, x * np.log(safe), 0.0)
-
-
-def _g_mp(x) -> mp.mpf:
-    return x * mp.log(x) if x > 0 else mp.mpf(0)
 
 
 def ln_fraction(x: Fraction) -> float:
@@ -89,64 +80,23 @@ def _check_rho_squared(r: float, model: str) -> None:
         )
 
 
-# ── problem / result records ─────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class DensityProblem:
-    """A (model, hole fraction) pair; c = 1/rho is the host-size constant."""
-
-    model: str
-    rho: Fraction
-    c: Fraction
-
-    _MODELS = ("gnp", "regular", "bipartite")
-
-    def __post_init__(self):
-        if self.model not in self._MODELS:
-            raise ValueError(f"model must be one of {self._MODELS}, got {self.model!r}")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.rho * self.c != 1:
-            raise ValueError("rho and c must satisfy rho * c = 1")
-        if self.model == "gnp" and self.rho >= Fraction(1, 2):
-            raise ValueError("gnp model needs rho < 1/2")
-        if self.model == "bipartite" and self.rho >= 1:
-            raise ValueError("bipartite model needs rho < 1")
-        if self.model == "regular" and self.c <= 3:
-            raise ValueError("regular model needs c > 3")
-
-    @classmethod
-    def from_rho(cls, model: str, rho: Rational) -> "DensityProblem":
-        rho = Fraction(rho)
-        return cls(model, rho, 1 / rho)
-
-    @classmethod
-    def from_c(cls, model: str, c: Rational) -> "DensityProblem":
-        c = Fraction(c)
-        if c <= 0:
-            raise ValueError("c must be positive")
-        return cls(model, 1 / c, c)
+# ── result records ───────────────────────────────────────────────────────────
 
 
 @dataclass
 class DensitySolveResult:
     """Output of the regular-model minimax solve.
 
-    ``d_min`` is the smallest certified density (rounded up one ulp so
-    the exponent at d_min is guaranteed nonpositive), ``worst_a`` the
-    maximising nuisance parameter, ``max_exponent`` the exponent value at
-    (worst_a, d_min) and ``certificate_margin`` the strictly positive
-    exponent at (1 - tolerance) * d_min witnessing minimality.
+    ``d_min`` is the smallest certified density (the upper end of an
+    enclosure of the exact threshold, rounded up to binary64), ``worst_a``
+    the maximising nuisance parameter and ``max_exponent`` an upper bound
+    on the exponent at (worst_a, d_min), which is nonpositive.
     """
 
     c: Fraction
     d_min: float
     worst_a: float
     max_exponent: float
-    grid_points: int
-    tolerance: float
-    certificate_margin: float
 
     def as_dict(self) -> dict:
         return {
@@ -155,9 +105,6 @@ class DensitySolveResult:
             "d_min": self.d_min,
             "worst_a": self.worst_a,
             "max_exponent": self.max_exponent,
-            "grid_points": self.grid_points,
-            "tolerance": self.tolerance,
-            "certificate_margin": self.certificate_margin,
         }
 
 
@@ -168,7 +115,6 @@ class CertificateCheck:
     ok: bool
     max_exponent: float
     worst_a: float
-    grid_points: int
 
 
 # ── closed-form thresholds ───────────────────────────────────────────────────
@@ -182,7 +128,7 @@ def gnp_min_density(rho: Union[Rational, float]) -> float:
     """
     r = float(rho)
     if not 0.0 < r < 0.5:
-        raise ValueError(f"gnp density needs 0 < rho < 1/2, got {rho}")
+        raise ValueError(f"gnp density needs 0 < rho < 1/2 in binary64, got {r:.6g}")
     _check_rho_squared(r, "gnp")
     # log1p keeps precision when rho is tiny (1 - 2*rho close to 1).
     return -((1.0 - 2.0 * r) * math.log1p(-2.0 * r) + 2.0 * r * math.log(r)) / (r * r)
@@ -195,7 +141,7 @@ def bipartite_min_density(rho: Union[Rational, float]) -> float:
     """
     r = float(rho)
     if not 0.0 < r < 1.0:
-        raise ValueError(f"bipartite density needs 0 < rho < 1, got {rho}")
+        raise ValueError(f"bipartite density needs 0 < rho < 1 in binary64, got {r:.6g}")
     _check_rho_squared(r, "bipartite")
     return -(2.0 * (1.0 - r) * math.log1p(-r) + 2.0 * r * math.log(r)) / (r * r)
 
@@ -247,166 +193,104 @@ def regular_exponent_decompose(a: float, c: float) -> tuple[float, float]:
     """
     a, c = float(a), float(c)
     _validate_acd(a, c, 1.0)
-    k0 = g(c) - g(c - 2.0)
-    k1 = (
-        g(c - 2.0)
-        + 0.5 * g(c - 1.0 - a)
-        - g(a)
-        - g(c - 2.0 - a)
-        - 0.5 * g(1.0 - a)
-        - 0.5 * g(c)
-    )
+    return _coefficients(a, c, g)
+
+
+def _coefficients(a, c, g):
+    """(k0, k1) at (a, c) for any number type that g, x*ln(x), accepts."""
+    k0 = g(c) - g(c - 2)
+    k1 = g(c - 2) + g(c - 1 - a) / 2 - g(a) - g(c - 2 - a) - g(1 - a) / 2 - g(c) / 2
     return k0, k1
 
 
-def _k1_grid(c: float, a: np.ndarray) -> np.ndarray:
-    """Vectorised k1 over an a-grid (binary64; locating, not certifying)."""
-    const = g(c - 2.0) - 0.5 * g(c)
-    return (
-        const
-        + 0.5 * _g_np(c - 1.0 - a)
-        - _g_np(a)
-        - _g_np(c - 2.0 - a)
-        - 0.5 * _g_np(1.0 - a)
-    )
+def _bracket(c: Fraction, bits: int) -> int:
+    """m with the maximiser a* of k1 in [m, m + 1] / 2**bits.
+
+    k1 is strictly concave on (0, 1) with
+    k1'(a) = ln((c-2-a) * sqrt(1-a) / (a * sqrt(c-1-a))), so a* is the one
+    root in (0, 1) of (c-2-a)**2 * (1-a) - a**2 * (c-1-a), which is positive
+    left of it.  Exact bisection on that sign, with a = x / 2**k and
+    c = p / q cleared of denominators.
+    """
+    p, q = c.numerator, c.denominator
+    m = 0
+    for k in range(1, bits + 1):
+        one, x = 1 << k, 2 * m + 1
+        left = ((p - 2 * q) * one - q * x) ** 2 * (one - x) > q * x * x * ((p - q) * one - q * x)
+        m = 2 * m + left
+    return m
 
 
-def _k_mp(c: Fraction) -> tuple[mp.mpf, Callable[[mp.mpf], mp.mpf]]:
-    """High-precision k0 and a-callable k1 for exact rational c."""
-    cm = mp.mpf(c.numerator) / c.denominator
-    k0 = _g_mp(cm) - _g_mp(cm - 2)
-    const = _g_mp(cm - 2) - _g_mp(cm) / 2
+@contextmanager
+def _enclosure(c: Fraction):
+    """Yield (a*, k0, k1): the midpoint of a bracket of a* and interval enclosures.
 
-    def k1(a: mp.mpf) -> mp.mpf:
-        return (
-            const
-            + _g_mp(cm - 1 - a) / 2
-            - _g_mp(a)
-            - _g_mp(cm - 2 - a)
-            - _g_mp(1 - a) / 2
-        )
-
-    return k0, k1
-
-
-def _golden_max(fn: Callable, lo, hi, iters: int) -> tuple[mp.mpf, mp.mpf]:
-    """Golden-section maximisation of fn on [lo, hi]; returns (argmax, max)."""
-    inv_phi = (mp.sqrt(5) - 1) / 2
-    a, b = mp.mpf(lo), mp.mpf(hi)
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-    best = [(f1, x1), (f2, x2), (fn(a), a), (fn(b), b)]
-    fbest, xbest = max(best, key=lambda p: p[0])
-    return xbest, fbest
+    k1 is evaluated with ``mpmath.iv`` over the whole bracket, so it encloses
+    k1(a*) = max over a of k1(a); both intervals stay at the working precision
+    inside the block.  The bracket is 2**-(64 + 2*log2 c) wide and the
+    precision 64 + 3*log2 c bits: the terms of k1 are ~c*ln(c) and cancel to
+    ~ln(c)/c, which these widths resolve to ~1e-18 relative for every binary64 c.
+    """
+    log2c = max(1, c.numerator.bit_length() - c.denominator.bit_length() + 1)
+    bits = 64 + 2 * log2c
+    m = _bracket(c, bits)
+    saved = iv.prec
+    iv.prec = 64 + 3 * log2c
+    try:
+        a = (m + iv.mpf([0, 1])) / 2**bits
+        cm = iv.mpf(c.numerator) / c.denominator
+        yield Fraction(2 * m + 1, 2 ** (bits + 1)), *_coefficients(a, cm, lambda x: x * iv.log(x))
+    finally:
+        iv.prec = saved
 
 
-def _candidate_windows(values: np.ndarray, slack: float) -> list[tuple[int, int]]:
-    """Index windows (inclusive) around every grid point within slack of the max."""
-    top = values.max()
-    idx = np.flatnonzero(values >= top - slack)
-    windows: list[tuple[int, int]] = []
-    start = prev = int(idx[0])
-    for i in idx[1:]:
-        i = int(i)
-        if i == prev + 1:
-            prev = i
-            continue
-        windows.append((start, prev))
-        start = prev = i
-    windows.append((start, prev))
-    return windows
+def _round_up(x) -> float:
+    """The least binary64 value >= the point interval x."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
-def regular_min_density(
-    c: Rational,
-    grid_points: int = 100_000,
-    tolerance: float = 1e-9,
-    refine_iters: int = 30,
-) -> DensitySolveResult:
+def regular_min_density(c: Rational) -> DensitySolveResult:
     """Smallest density d with max over a in [0,1] of regular_exponent <= 0.
 
-    Because the exponent is affine in d with negative slope k1(a) at
-    feasible points, the answer is max over a of k0 / (-k1(a)).  A
-    binary64 grid locates the maximiser; candidates near the top are
-    refined by golden section in 40-digit arithmetic, which matters at
-    headline sizes where -k1 at the optimum is ~1e-5.
+    The exponent is k0 + k1(a)*d with k0 > 0 and k1 concave, so the answer
+    is k0 / (-k1(a*)) at the maximiser a* of k1.  ``d_min`` is the upper end
+    of an interval enclosure of that ratio, rounded up to binary64, so it
+    is certified, and it exceeds the exact threshold by ~1e-16 relative.
 
-    Raises InfeasibleDensityError if some a has k1(a) >= 0 (the exponent
-    then stays positive for every d).
+    Raises InfeasibleDensityError if the enclosure of k1(a*) does not lie
+    below 0 (the exponent may then stay positive for every d), and
+    ValueError if c <= 3 or c or d_min lies beyond the binary64 range.
     """
     c = Fraction(c)
     if c <= 3:
         raise ValueError(f"regular model needs c > 3, got {c}")
-    if grid_points < 1_000:
-        raise ValueError("grid_points must be at least 1000")
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError("tolerance must lie in (0, 1)")
-
     cf = _binary64(c, "regular model c")
-    grid = np.linspace(0.0, 1.0, grid_points + 1)
-    k1_vals = _k1_grid(cf, grid)
-
-    # Per-point rounding budget: terms have magnitude ~g(c); anything within
-    # this slack of the float max gets the high-precision treatment.
-    slack = max(1e-12, 64 * np.finfo(float).eps * abs(g(cf)))
-    step = 1.0 / grid_points
-
-    with mp.workdps(_MP_DPS):
-        k0_mp, k1_mp = _k_mp(c)
-        best_a = mp.mpf(0)
-        best_k1 = mp.mpf("-inf")
-        for i_lo, i_hi in _candidate_windows(k1_vals, slack):
-            lo = max(0.0, grid[i_lo] - 2 * step)
-            hi = min(1.0, grid[i_hi] + 2 * step)
-            x, fx = _golden_max(k1_mp, lo, hi, refine_iters)
-            if fx > best_k1:
-                best_k1, best_a = fx, x
-        if best_k1 >= 0:
+    with _enclosure(c) as (a, k0, k1):
+        if not k1.b < 0:
             raise InfeasibleDensityError(
-                f"exponent slope k1={float(best_k1):+.3e} >= 0 at a={float(best_a)}: "
-                f"no finite density is certifiable for c={c}",
-                a=float(best_a),
+                f"exponent slope k1 <= {float(k1.b):+.3e} is not certifiably negative "
+                f"at a={float(a)}: no finite density is certifiable for c={cf:.6g}",
+                a=float(a),
             )
-        d_mp = k0_mp / (-best_k1)
-        # Round up one ulp so the returned float is on the certified side.
-        d_min = math.nextafter(float(d_mp), math.inf)
-        max_exponent = float(k0_mp + best_k1 * mp.mpf(d_min))
-        margin = float(k0_mp + best_k1 * ((1 - mp.mpf(tolerance)) * mp.mpf(d_min)))
-
-    return DensitySolveResult(
-        c=c,
-        d_min=d_min,
-        worst_a=float(best_a),
-        max_exponent=max_exponent,
-        grid_points=grid_points,
-        tolerance=tolerance,
-        certificate_margin=margin,
-    )
+        d_min = _round_up((k0 / -k1).b)
+        if math.isinf(d_min):
+            raise ValueError(f"regular density at c = {cf:.6g} is beyond the binary64 range")
+        max_exponent = float((k0 + k1 * d_min).b)
+    return DensitySolveResult(c=c, d_min=d_min, worst_a=float(a), max_exponent=max_exponent)
 
 
 def check_density_certificate(
     c: Rational,
     d: Rational,
     grid_points: int = 1_000_000,
-    refine_iters: int = 60,
 ) -> CertificateCheck:
     """Verify max over a in [0,1] of regular_exponent(a, c, d) <= 0.
 
-    Two stages: a vectorised binary64 sweep over the grid flags every
-    point whose exponent is within a conservative noise band of 0, then
-    mpmath re-evaluates the flagged points exactly, plus a golden-section
-    refinement around the grid maximiser so the continuous maximum (not
-    just the sampled one) is checked.
+    The maximum is k0 + k1(a*)*d; the check passes iff the upper end of
+    its interval enclosure is <= 0, so a passing check is rigorous.
+    ``grid_points`` is accepted for existing callers and no longer affects
+    the decision: no grid is sampled.
     """
     c = Fraction(c)
     d = Fraction(d)
@@ -414,47 +298,10 @@ def check_density_certificate(
         raise ValueError(f"regular model needs c > 3, got {c}")
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
-
-    cf, df = _binary64(c, "regular model c"), _binary64(d, "density d")
-    grid = np.linspace(0.0, 1.0, grid_points + 1)
-    k0f = g(cf) - g(cf - 2.0)
-    f_vals = k0f + _k1_grid(cf, grid) * df
-
-    # Anything that a float sweep cannot put safely below zero gets the
-    # high-precision pass: k1 noise ~64*eps*g(c) amplified by d.
-    band = max(1e-9, 64 * np.finfo(float).eps * abs(g(cf)) * df)
-    suspicious = np.flatnonzero(f_vals > -band)
-    i_top = int(np.argmax(f_vals))
-    step = 1.0 / grid_points
-
-    ok = True
-    with mp.workdps(_MP_DPS):
-        k0_mp, k1_mp = _k_mp(c)
-        d_mp = mp.mpf(d.numerator) / d.denominator
-
-        def f_mp(a: mp.mpf) -> mp.mpf:
-            return k0_mp + k1_mp(a) * d_mp
-
-        worst_a, worst_f = _golden_max(
-            f_mp,
-            max(0.0, grid[i_top] - 2 * step),
-            min(1.0, grid[i_top] + 2 * step),
-            refine_iters,
-        )
-        for i in suspicious:
-            fa = f_mp(mp.mpf(grid[int(i)]))
-            if fa > worst_f:
-                worst_f, worst_a = fa, mp.mpf(grid[int(i)])
-        ok = worst_f <= 0
-        max_exponent = float(worst_f)
-        worst_a_f = float(worst_a)
-
-    return CertificateCheck(
-        ok=bool(ok),
-        max_exponent=max_exponent,
-        worst_a=worst_a_f,
-        grid_points=grid_points,
-    )
+    _binary64(c, "regular model c")
+    with _enclosure(c) as (a, k0, k1):
+        top = (k0 + k1 * (iv.mpf(d.numerator) / d.denominator)).b
+        return CertificateCheck(ok=bool(top <= 0), max_exponent=float(top), worst_a=float(a))
 
 
 # ── exact first moment in the pairing model ──────────────────────────────────
@@ -516,7 +363,6 @@ def exact_first_moment(m: int, c: int, d: int, a: Rational) -> Fraction:
 
 
 __all__ = [
-    "DensityProblem",
     "DensitySolveResult",
     "CertificateCheck",
     "g",

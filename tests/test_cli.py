@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -255,8 +256,50 @@ def test_solve_regular_huge_c_is_usage_error(capsys):
     assert "binary64" in err
 
 
+@pytest.mark.parametrize("model", ["gnp", "bipartite"])
+def test_solve_huge_c_error_is_short(capsys, model):
+    rc, out, err = run_cli(capsys, "solve", "--model", model, "--c", "1e400")
+    _assert_one_line_usage_error(rc, out, err)
+    assert len(err) < 200
+
+
+def test_solve_regular_large_c_is_feasible(capsys, regular_density_oracle):
+    rc, out, _ = run_cli(capsys, "solve", "--model", "regular", "--c", "1e100")
+    assert rc == 0
+    fields = dict(line.split(" ", 1) for line in out.splitlines())
+    assert abs(float(fields["d_min"]) / float(regular_density_oracle(10**100)) - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("cycles", ["3,3,3", "4,4,4", "4,4,4,4", "3,3,3,3,3,3"])
+def test_bounds_many_cycles_regular_density(capsys, regular_density_oracle, cycles):
+    rc, out, _ = run_cli(capsys, "bounds", "--cycles", cycles, "--format", "json")
+    assert rc == 0
+    row = {r["model"]: r for r in json.loads(out)["bounds"]}["regular"]
+    want = regular_density_oracle(Fraction(row["c"]))
+    assert abs(row["d"] / float(want) - 1) <= 1e-9
+
+
+def test_bounds_three_triangles_table(capsys):
+    rc, out, _ = run_cli(capsys, "bounds", "--cycles", "3,3,3")
+    assert rc == 0
+    assert out.splitlines()[2].split()[:3] == ["regular", "150737781250", "8.06109706662e+12"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model", "regular", "--c", "10", "--grid", "10"],
+    ["solve", "--model", "regular", "--c", "10", "--tol", "1e-6"],
+    ["bounds", "--cycles", "5,5", "--grid", "10"],
+    ["reproduce", "--grid", "10"],
+])
+def test_solver_grid_flags_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_code_infeasible(capsys, monkeypatch):
-    def boom(c, grid_points, tolerance):
+    def boom(c):
         raise InfeasibleDensityError("no negative-exponent window", a=0.5)
 
     monkeypatch.setattr(cli, "regular_min_density", boom)

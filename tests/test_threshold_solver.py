@@ -3,11 +3,13 @@ certified minima, and the exact first-moment formula."""
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath import iv
 
 from ramsey_lab.errors import InfeasibleDensityError
 from ramsey_lab import threshold_solver as ts
@@ -35,17 +37,6 @@ def test_matching_count():
         ts.matching_count(3)
     with pytest.raises(ValueError):
         ts.matching_count(-2)
-
-
-def test_density_problem_validation():
-    prob = ts.DensityProblem.from_c("gnp", Fraction(10))
-    assert prob.rho == Fraction(1, 10)
-    with pytest.raises(ValueError):
-        ts.DensityProblem.from_rho("gnp", Fraction(1, 2))  # needs rho < 1/2
-    with pytest.raises(ValueError):
-        ts.DensityProblem.from_c("regular", Fraction(3))  # needs c > 3
-    with pytest.raises(ValueError):
-        ts.DensityProblem.from_c("nope", Fraction(10))
 
 
 # ── closed-form thresholds ───────────────────────────────────────────────────
@@ -188,6 +179,7 @@ def test_certificates_pass_at_published_densities_and_fail_below():
 def test_solver_result_serialization_roundtrip():
     res = ts.regular_min_density(Fraction(10))
     doc = res.as_dict()
+    assert list(doc) == ["model", "c", "d_min", "worst_a", "max_exponent"]
     assert doc["model"] == "regular"
     assert doc["c"] == "10"
     assert doc["d_min"] == res.d_min
@@ -195,14 +187,63 @@ def test_solver_result_serialization_roundtrip():
 
 
 def test_solver_infeasible_branch(monkeypatch):
-    # force a positive slope so no density can close the exponent
-    monkeypatch.setattr(ts, "_k1_grid", lambda c, a: np.full_like(a, 0.5))
-    monkeypatch.setattr(
-        ts, "_k_mp", lambda c: (mpmath.mpf(1), lambda a: mpmath.mpf("0.5"))
-    )
-    with pytest.raises(InfeasibleDensityError) as err:
-        ts.regular_min_density(Fraction(10))
-    assert err.value.a is not None
+    # a slope enclosure that does not lie below 0 (positive, or straddling
+    # 0) certifies no density
+    for slope in ("0.5", ["-0.5", "0.5"]):
+        @contextmanager
+        def enclosure(c):
+            yield Fraction(1, 2), iv.mpf(1), iv.mpf(slope)
+
+        monkeypatch.setattr(ts, "_enclosure", enclosure)
+        with pytest.raises(InfeasibleDensityError) as err:
+            ts.regular_min_density(Fraction(10))
+        assert err.value.a is not None
+
+
+def test_solver_and_certificate_take_the_safe_end_of_the_enclosure(monkeypatch):
+    # k0 = 1 and k1 in [-0.75, -0.5]: only d >= 1 / 0.5 is certified
+    @contextmanager
+    def enclosure(c):
+        yield Fraction(1, 2), iv.mpf(1), iv.mpf([-0.75, -0.5])
+
+    monkeypatch.setattr(ts, "_enclosure", enclosure)
+    assert ts.regular_min_density(Fraction(10)).d_min == 2.0
+    assert ts.check_density_certificate(Fraction(10), 2).ok
+    assert not ts.check_density_certificate(Fraction(10), Fraction(3, 2)).ok
+
+
+REGRESSION_C = [
+    Fraction(4), Fraction(10), Fraction(95412), Fraction(538002, 35), Fraction(1_250_000),
+    Fraction(10**7), Fraction(150737781250), Fraction(10**100), Fraction(10**300),
+]
+
+
+@pytest.mark.parametrize("c", REGRESSION_C, ids=lambda c: f"{float(c):.6g}")
+def test_solver_matches_cubic_oracle_and_certifies(c, regular_density_oracle):
+    res = ts.regular_min_density(c)
+    want = regular_density_oracle(c)
+    assert mpmath.mpf(res.d_min) >= want
+    assert abs(mpmath.mpf(res.d_min) - want) <= 1e-12 * want
+    assert res.max_exponent <= 0.0
+    assert ts.check_density_certificate(c, res.d_min).ok
+    below = ts.check_density_certificate(c, res.d_min * (1 - 1e-9))
+    assert not below.ok and below.max_exponent > 0
+
+
+def test_certificate_rejects_grid_solver_density_at_three_triangles():
+    # c = 150737781250 is the host constant of (C3, C3, C3); the exact
+    # threshold is 8.0611e12, and a grid-located maximiser gave 5.374e12
+    check = ts.check_density_certificate(Fraction(150737781250), 5374064711056)
+    assert not check.ok and check.max_exponent > 0
+
+
+def test_regular_solver_domain():
+    with pytest.raises(ValueError, match="c > 3"):
+        ts.regular_min_density(3)
+    with pytest.raises(ValueError, match="binary64"):
+        ts.regular_min_density(Fraction(10**400))
+    with pytest.raises(ValueError, match="binary64"):
+        ts.regular_min_density(Fraction(17 * 10**307))
 
 
 # ── exact first moment ───────────────────────────────────────────────────────
