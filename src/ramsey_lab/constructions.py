@@ -19,6 +19,7 @@ serialisation every command shares.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -242,17 +243,14 @@ def _perfect_tree_block(height: int, base: int, attach: int, attach_depth: int):
     """Heap-layout perfect binary tree of the given height as id block.
 
     Returns (parent, depth) global arrays for ids base..base+2**(height+1)-2,
-    with the block root hung below vertex ``attach``.
+    with the block root hung below vertex ``attach``.  Heap level k holds
+    the 2**k local ids 2**k-1 .. 2**(k+1)-2, so depths are exact integers.
     """
     size = 2 ** (height + 1) - 1
-    local = np.arange(size, dtype=np.int64)
-    parent = base + (local - 1) // 2
+    parent = base + (np.arange(size, dtype=np.int64) - 1) // 2
     parent[0] = attach
-    lev = np.floor(np.log2(local + 1)).astype(np.int64)
-    # np.log2 can misround at power-of-two boundaries for huge blocks; repair.
-    lev += (local + 1) >> (lev + 1) > 0
-    lev -= (np.int64(1) << lev) > local + 1
-    depth = attach_depth + 1 + lev
+    levels = np.arange(height + 1, dtype=np.int64)
+    depth = np.repeat(attach_depth + 1 + levels, np.left_shift(1, levels))
     return parent, depth
 
 
@@ -287,12 +285,23 @@ def build_leaf_tree(n: int) -> RootedTree:
     return RootedTree(np.concatenate(parts_p), np.concatenate(parts_d))
 
 
-def _singleton_tree() -> RootedTree:
-    return RootedTree(np.array([-1], dtype=np.int64), np.array([0], dtype=np.int64))
+@lru_cache(maxsize=8)
+def _leaf_tree_parts(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (parent, depth, leaves) of the leaf tree for m (m = 1: one vertex).
 
-
-def _leaf_tree_or_singleton(m: int) -> RootedTree:
-    return _singleton_tree() if m == 1 else build_leaf_tree(m)
+    Connector sweeps rebuild the same two leaf trees for every path length,
+    so the last few are kept and shared; the arrays are frozen so no caller
+    can alter the cached copy.
+    """
+    if m == 1:
+        parts = (np.array([-1], dtype=np.int64), np.array([0], dtype=np.int64),
+                 np.array([0], dtype=np.int64))
+    else:
+        tree = build_leaf_tree(m)
+        parts = (tree.parent, tree.depth, tree.leaves())
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
 
 
 def build_connector_tree(m1: int, m2: int, n: int) -> RootedTree:
@@ -312,9 +321,9 @@ def build_connector_tree(m1: int, m2: int, n: int) -> RootedTree:
             f"n={n} is too small: need n >= {2 + l1 + l2} so the joining path "
             f"has positive length"
         )
-    t_x = _leaf_tree_or_singleton(m1)
-    t_y = _leaf_tree_or_singleton(m2)
-    v1 = t_x.n
+    x_parent, x_depth, x_leaves = _leaf_tree_parts(m1)
+    y_tree_parent, y_tree_depth, y_tree_leaves = _leaf_tree_parts(m2)
+    v1 = len(x_parent)
     internals = path_len - 1
     base2 = v1 + internals
 
@@ -324,15 +333,14 @@ def build_connector_tree(m1: int, m2: int, n: int) -> RootedTree:
         path_parent[0] = 0
     path_depth = np.arange(1, internals + 1, dtype=np.int64)
 
-    y_parent = t_y.parent + base2
+    y_parent = y_tree_parent + base2
     y_parent[0] = base2 - 1 if internals else 0
-    y_depth = t_y.depth + path_len
+    y_depth = y_tree_depth + path_len
 
-    parent = np.concatenate([t_x.parent, path_parent, y_parent])
-    depth = np.concatenate([t_x.depth, path_depth, y_depth])
-    x_leaves = t_x.leaves()
-    y_leaves = t_y.leaves() + base2
-    return RootedTree(parent, depth, x_leaves=x_leaves, y_leaves=y_leaves)
+    parent = np.concatenate([x_parent, path_parent, y_parent])
+    depth = np.concatenate([x_depth, path_depth, y_depth])
+    return RootedTree(parent, depth, x_leaves=x_leaves.copy(),
+                      y_leaves=y_tree_leaves + base2)
 
 
 # ── invariant reports for the tree builders ──────────────────────────────────
@@ -381,18 +389,23 @@ def verify_leaf_tree(tree: RootedTree, n: int) -> dict:
     return report
 
 
-def _branch_below_root(v: int, parent: np.ndarray, memo: dict) -> int:
-    """The child-of-root ancestor of v (or -1 for the root itself)."""
-    if v == 0:
-        return -1
-    trail = []
-    while v not in memo and parent[v] != 0:
-        trail.append(v)
-        v = int(parent[v])
-    b = memo.get(v, v)
-    for u in trail:
-        memo[u] = b
-    return b
+def _branch_below_root(parent: np.ndarray) -> np.ndarray:
+    """The child-of-root ancestor of every vertex (0 for the root itself).
+
+    Pointer jumping: root children point at themselves, every other vertex
+    at its parent, and each round composes the pointers with themselves,
+    so a tree of depth h settles after about log2(h) rounds.  ``parent``
+    must already be a valid rooted tree (parent[v] < v).
+    """
+    jump = parent.copy()
+    jump[0] = 0
+    top = jump == 0
+    jump[top] = np.flatnonzero(top)
+    while True:
+        nxt = jump[jump]
+        if np.array_equal(nxt, jump):
+            return jump
+        jump = nxt
 
 
 def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
@@ -425,9 +438,8 @@ def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
     )
     if ok:
         dx, dy = tree.depth[x], tree.depth[y]
-        memo: dict = {}
-        bx = {_branch_below_root(int(v), tree.parent, memo) for v in x}
-        by = {_branch_below_root(int(v), tree.parent, memo) for v in y}
+        branch = _branch_below_root(tree.parent)
+        bx, by = set(branch[x].tolist()), set(branch[y].tolist())
         uniform = (
             int(dx.min()) == int(dx.max()) and int(dy.min()) == int(dy.max())
         )

@@ -280,6 +280,18 @@ def test_verify_connector_tree_catches_tampering():
     assert not cons.verify_connector_tree(plain, 2, 2, 10)["ok"]
 
 
+def test_connector_trees_do_not_share_mutable_state():
+    # leaf trees are cached per m; editing one connector must not leak
+    first = cons.build_connector_tree(3, 5, 12)
+    fresh = [a.copy() for a in (first.parent, first.depth, first.x_leaves, first.y_leaves)]
+    for arr in (first.parent, first.depth, first.x_leaves, first.y_leaves):
+        arr[:] = 0
+    again = cons.build_connector_tree(3, 5, 12)
+    for old, new in zip(fresh, (again.parent, again.depth, again.x_leaves, again.y_leaves)):
+        assert np.array_equal(old, new)
+    assert cons.verify_connector_tree(again, 3, 5, 12)["ok"]
+
+
 # ── expansion condition and tree embedding ───────────────────────────────────
 
 
