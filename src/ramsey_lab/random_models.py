@@ -13,15 +13,13 @@ heuristic above it.
 
 Randomness policy: one generator family (PCG64) behind numpy's Generator,
 and trial i of any experiment draws from the child sequence
-SeedSequence(seed, spawn_key=(i, ...)), so trials are reproducible
-independently of execution order or thread count.
+SeedSequence(seed, spawn_key=(i, ...)), so each trial is reproducible on
+its own.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -484,17 +482,6 @@ class TrialReport:
         }
 
 
-def _worker_count(max_workers: Optional[int], trials: int) -> int:
-    """The argument, else RAMSEY_LAB_THREADS, else 1; at most one per CPU and trial."""
-    if max_workers is None:
-        env = os.environ.get("RAMSEY_LAB_THREADS", "")
-        try:
-            max_workers = int(env) if env.strip() else 1
-        except ValueError as exc:
-            raise ValueError(f"RAMSEY_LAB_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(int(max_workers), os.cpu_count() or 1, trials))
-
-
 def estimate_hole_probability(
     model: str,
     n: int,
@@ -506,7 +493,6 @@ def estimate_hole_probability(
     d: Optional[int] = None,
     mode: str = "auto",
     iters: int = 2000,
-    max_workers: Optional[int] = None,
 ) -> TrialReport:
     """Seeded Monte Carlo estimate of P(sample contains a size-s hole).
 
@@ -514,9 +500,8 @@ def estimate_hole_probability(
     needs p), or "pairing" (needs integer degree d; the search runs on the
     simple support of the multigraph, which has the same holes).  ``mode``
     is "exact", "heuristic", or "auto" (exact whenever the caps allow).
-    Trial i is seeded from (seed, i), so reports are identical for any
-    worker count; workers default to 1 or the RAMSEY_LAB_THREADS env var,
-    and are capped by the CPU count and the number of trials.
+    Trials run in order; trial i samples its host from child_seed(seed, i, 0)
+    and seeds the heuristic from child_seed(seed, i, 1).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -566,15 +551,7 @@ def estimate_hole_probability(
             return find_hole_exact(g, s) is not None
         return find_hole_heuristic(g, s, iters=iters, seed=child_seed(seed, i, 1)) is not None
 
-    workers = _worker_count(max_workers, trials)
-    indices = range(trials)
-    if workers == 1:
-        outcomes = [run_trial(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_trial, indices))
-
-    holes = sum(outcomes)
+    holes = sum(run_trial(i) for i in range(trials))
     ci_low, ci_high = wilson_interval(holes, trials)
     return TrialReport(
         model=model,

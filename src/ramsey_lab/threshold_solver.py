@@ -126,7 +126,7 @@ def gnp_min_density(rho: Union[Rational, float]) -> float:
     Root in d of (1-2*rho)*ln(1-2*rho) + 2*rho*ln(rho) + rho**2 * d = 0,
     i.e. d = -((1-2*rho)*ln(1-2*rho) + 2*rho*ln(rho)) / rho**2.
     """
-    r = float(rho)
+    r = _binary64(rho, "gnp hole fraction rho")
     if not 0.0 < r < 0.5:
         raise ValueError(f"gnp density needs 0 < rho < 1/2 in binary64, got {r:.6g}")
     _check_rho_squared(r, "gnp")
@@ -139,7 +139,7 @@ def bipartite_min_density(rho: Union[Rational, float]) -> float:
 
     Root in d of 2*(1-rho)*ln(1-rho) + 2*rho*ln(rho) + rho**2 * d = 0.
     """
-    r = float(rho)
+    r = _binary64(rho, "bipartite hole fraction rho")
     if not 0.0 < r < 1.0:
         raise ValueError(f"bipartite density needs 0 < rho < 1 in binary64, got {r:.6g}")
     _check_rho_squared(r, "bipartite")
@@ -260,7 +260,8 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
 
     Raises InfeasibleDensityError if the enclosure of k1(a*) does not lie
     below 0 (the exponent may then stay positive for every d), and
-    ValueError if c <= 3 or c or d_min lies beyond the binary64 range.
+    ValueError if c <= 3, if c or d_min lies beyond the binary64 range, or
+    if the enclosure of the exponent at d_min does not lie at or below 0.
     """
     c = Fraction(c)
     if c <= 3:
@@ -276,8 +277,13 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
         d_min = _round_up((k0 / -k1).b)
         if math.isinf(d_min):
             raise ValueError(f"regular density at c = {cf:.6g} is beyond the binary64 range")
-        max_exponent = float((k0 + k1 * d_min).b)
-    return DensitySolveResult(c=c, d_min=d_min, worst_a=float(a), max_exponent=max_exponent)
+        top = (k0 + k1 * d_min).b
+        if not top <= 0:
+            raise ValueError(
+                f"d={d_min!r} is not certified for c={c}: exponent "
+                f"{float(top):+.6e} > 0 at a={float(a)!r}"
+            )
+    return DensitySolveResult(c=c, d_min=d_min, worst_a=float(a), max_exponent=float(top))
 
 
 def check_density_certificate(

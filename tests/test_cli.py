@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ramsey_lab.cli as cli
+import ramsey_lab.threshold_solver as ts
 from ramsey_lab import __version__
 from ramsey_lab.arrow_checker import parse_targets, verify_coloring_avoids_targets, EdgeColoring
 from ramsey_lab.constructions import Graph
@@ -263,6 +268,28 @@ def test_solve_huge_c_error_is_short(capsys, model):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("model, c", [("gnp", "1e-400"), ("bipartite", "1e-320")])
+def test_solve_tiny_c_is_usage_error(capsys, model, c):
+    # rho = 1/c is beyond the largest binary64
+    rc, out, err = run_cli(capsys, "solve", "--model", model, "--c", c)
+    _assert_one_line_usage_error(rc, out, err)
+    assert "binary64" in err
+
+
+def test_bounds_builds_one_regular_enclosure(capsys, monkeypatch):
+    builds = []
+    enclosure = ts._enclosure
+
+    def counted(c):
+        builds.append(c)
+        return enclosure(c)
+
+    monkeypatch.setattr(ts, "_enclosure", counted)
+    rc, _, _ = run_cli(capsys, "bounds", "--cycles", "5,5")
+    assert rc == 0
+    assert builds == [Fraction(95412)]
+
+
 def test_solve_regular_large_c_is_feasible(capsys, regular_density_oracle):
     rc, out, _ = run_cli(capsys, "solve", "--model", "regular", "--c", "1e100")
     assert rc == 0
@@ -385,6 +412,165 @@ def test_reproduce_table(capsys):
     assert len(lines) == 10
     assert all(line.endswith("PASS") for line in lines[:9])
     assert lines[-1] == "all checks: PASS"
+
+
+# ── generated argv ───────────────────────────────────────────────────────────
+
+#: values no option takes as given: zero, negatives, out-of-range powers of
+#: ten, empty and malformed tokens
+HOSTILE = ["0", "-1", "-7", "1e400", "1e-400", "-1e400", "", "nan", "x", "1/0", ",", "3,"]
+
+
+def _mostly(common, rare):
+    """``common`` four times in five, else ``rare``."""
+    return st.sampled_from([False] * 4 + [True]).flatmap(lambda r: rare if r else common)
+
+
+def _value(valid):
+    # a value is hostile one time in five, so that many whole argv lists are valid
+    return _mostly(valid, st.sampled_from(HOSTILE))
+
+
+def _ints(lo, hi):
+    return _value(st.integers(lo, hi).map(str))
+
+
+def _joined(token, min_size, max_size):
+    return st.lists(token, min_size=min_size, max_size=max_size).map(",".join)
+
+
+def _opt(name, values):
+    # --name=value, so that values starting with "-" reach the handler
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _opt(name, values))
+
+
+def _rarely(name, values):
+    return _mostly(st.just([]), _opt(name, values))
+
+
+def _flag(name):
+    return st.sampled_from([[], [f"--{name}"]])
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [tok for p in ps for tok in p])
+
+
+_BOUNDS = _argv(
+    "bounds",
+    _opt("cycles", _joined(_ints(3, 10**6), 0, 8)),
+    _maybe("format", st.sampled_from(["table", "json", "csv", "xml"])),
+)
+_SOLVE = _argv(
+    "solve",
+    _opt("model", st.sampled_from(["regular", "gnp", "bipartite", "star"])),
+    _opt("c", _value(st.one_of(
+        st.tuples(st.integers(1, 10**12), st.integers(1, 10**6)).map(lambda pq: "%d/%d" % pq),
+        st.integers(-400, 400).map(lambda k: f"1e{k}"),
+    ))),
+    _maybe("format", st.sampled_from(["table", "json"])),
+)
+
+
+@st.composite
+def _simulate(draw):
+    model = draw(st.sampled_from(["gnp", "bipartite", "pairing"]))
+    pairing = model == "pairing"
+    simple = pairing and draw(st.booleans())
+    p = _value(st.floats(0, 1).map(repr))
+    d = _ints(1, 4 if simple else 8)
+    parts = [
+        _opt("N", _ints(1, 24)),
+        _rarely("s", _ints(1, 4)) if simple else _opt("s", _ints(1, 4)),
+        _rarely("p", p) if pairing else _opt("p", p),
+        _opt("d", d) if pairing else _rarely("d", d),
+        _opt("trials", _ints(1, 4)),
+        _opt("seed", _ints(0, 2**32)),
+        _maybe("mode", st.sampled_from(["auto", "exact", "heuristic"])),
+        _opt("iters", _ints(1, 20)),
+        st.just(["--simple-only"]) if simple else _mostly(st.just([]), st.just(["--simple-only"])),
+    ]
+    return draw(_argv("simulate", st.just([f"--model={model}"]), *parts))
+
+
+@st.composite
+def _construct(draw):
+    options = [
+        _opt("leaf-tree", _ints(2, 5000)),
+        _opt("connector", _value(st.one_of(
+            st.tuples(_ints(1, 64), _ints(1, 64), _ints(1, 300)).map(",".join),
+            _joined(_ints(1, 64), 0, 4),
+        ))),
+        _opt("multipartite", _joined(_ints(1, 6), 0, 5)),
+    ]
+    # mostly exactly one option, as the command requires
+    chosen = draw(_mostly(
+        st.integers(0, 2).map(lambda k: [k]),
+        st.lists(st.integers(0, 2), unique=True),
+    ))
+    return draw(_argv("construct", *(options[k] for k in chosen)))
+
+
+_HOST = _mostly(
+    st.one_of(
+        st.integers(1, 7).map(lambda n: f"K{n}"),
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda ab: "K%dx%d" % ab),
+        st.integers(3, 12).map(lambda n: f"C{n}"),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+            lambda sizes: "M" + "x".join(map(str, sizes))),
+    ),
+    st.sampled_from([
+        "K", "K0", "Kx", "K0x3", "K-1", "C0", "C-3", "K1e400", "M", "Mx", "M0x-2", "Q6",
+        "@no-such-host-file",
+    ]),
+)
+_TARGET = _mostly(
+    st.one_of(
+        st.integers(3, 12).map(lambda n: f"C{n}"),
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda ab: "K%dx%d" % ab),
+    ),
+    st.sampled_from(["", "C0", "C2", "C-1", "K0x2", "Q3", "C1e400", "K2x", "x"]),
+)
+_ARROW = _argv(
+    "arrow",
+    _opt("host", _HOST),
+    _opt("targets", _mostly(_joined(_TARGET, 1, 3), _joined(_TARGET, 0, 4))),
+    _flag("bipartite"),
+    _rarely("edge-cap", _ints(0, 21)),
+)
+_REPRODUCE = _argv("reproduce", _flag("json"))
+_ANY_ARGV = st.one_of(
+    _BOUNDS, _SOLVE, _simulate(), _construct(), _ARROW, _REPRODUCE,
+    st.sampled_from([[], ["bounds"], ["frobnicate"], ["solve", "--model=gnp"]]),
+)
+
+
+def _main_output(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            assert exc.code == 2, argv
+            rc = 2
+    return rc, out.getvalue(), err.getvalue()
+
+
+@example(["solve", "--model=gnp", "--c=1e-400"])
+@example(["solve", "--model=bipartite", "--c=1e-320"])
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(_ANY_ARGV)
+def test_generated_argv_ends_in_a_known_exit_code(argv):
+    rc, out, err = _main_output(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc)
+    assert "Traceback" not in err
+    if rc:
+        assert out == "" and "error:" in err
+    assert _main_output(argv)[:2] == (rc, out)
 
 
 # ── module and script entry points ───────────────────────────────────────────

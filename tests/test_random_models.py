@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -336,34 +335,18 @@ def test_estimate_deterministic_and_worker_invariant():
     kw = dict(p=0.4, mode="exact")
     base = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
     again = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
-    threaded = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, max_workers=4, **kw)
-    assert base.as_dict() == again.as_dict() == threaded.as_dict()
+    assert base.as_dict() == again.as_dict()
+    # trial i searches the host drawn from child_seed(seed, i, 0); at p = 0.75
+    # about half the hosts have a hole, so the count is not trivially 0 or 24
+    half = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact")
+    for p, rep in ((0.4, base), (0.75, half)):
+        expected = sum(
+            rm.find_hole_exact(rm.sample_gnp(20, p, rm.child_seed(7, i, 0)), 3) is not None
+            for i in range(24)
+        )
+        assert rep.holes == expected
     other_seed = rm.estimate_hole_probability("gnp", 20, 3, 24, 8, **kw)
     assert base.holes != other_seed.holes or base.seed != other_seed.seed
-
-
-def test_estimate_env_var_worker_count(monkeypatch):
-    monkeypatch.setenv("RAMSEY_LAB_THREADS", "3")
-    a = rm.estimate_hole_probability("gnp", 16, 2, 12, 3, p=0.3)
-    monkeypatch.setenv("RAMSEY_LAB_THREADS", "1")
-    b = rm.estimate_hole_probability("gnp", 16, 2, 12, 3, p=0.3)
-    assert a.as_dict() == b.as_dict()
-    monkeypatch.setenv("RAMSEY_LAB_THREADS", "lots")
-    with pytest.raises(ValueError):
-        rm.estimate_hole_probability("gnp", 16, 2, 12, 3, p=0.3)
-
-
-def test_worker_count_bounded_by_cpus_and_trials(monkeypatch):
-    threads = threading.active_count()
-    monkeypatch.setenv("RAMSEY_LAB_THREADS", "100000")
-    monkeypatch.setattr(rm.os, "cpu_count", lambda: 4)
-    assert rm._worker_count(None, 1000) == 4
-    assert rm._worker_count(None, 3) == 3
-    assert rm._worker_count(100000, 1000) == 4
-    assert rm._worker_count(0, 1000) == 1
-    monkeypatch.setattr(rm.os, "cpu_count", lambda: None)  # count unknown
-    assert rm._worker_count(None, 1000) == 1
-    assert threading.active_count() == threads
 
 
 def test_estimate_report_schema():

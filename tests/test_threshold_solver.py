@@ -212,6 +212,15 @@ def test_solver_and_certificate_take_the_safe_end_of_the_enclosure(monkeypatch):
     assert not ts.check_density_certificate(Fraction(10), Fraction(3, 2)).ok
 
 
+def test_solver_refuses_a_density_it_cannot_certify(monkeypatch):
+    # a d_min shrunk 1e-9 below the enclosure's upper end leaves the exponent above 0
+    round_up = ts._round_up
+    monkeypatch.setattr(ts, "_round_up", lambda x: round_up(x) * (1 - 1e-9))
+    for c in (Fraction(10), Fraction(95412), Fraction(538002, 35)):
+        with pytest.raises(ValueError, match="is not certified for c="):
+            ts.regular_min_density(c)
+
+
 REGRESSION_C = [
     Fraction(4), Fraction(10), Fraction(95412), Fraction(538002, 35), Fraction(1_250_000),
     Fraction(10**7), Fraction(150737781250), Fraction(10**100), Fraction(10**300),
