@@ -88,7 +88,7 @@ def parse_targets(text: str) -> tuple[Target, ...]:
 # ── containment tests ────────────────────────────────────────────────────────
 
 
-def has_cycle_length(graph: Graph, length: int, cap: int = TARGET_VERTEX_CAP) -> bool:
+def has_cycle_length(graph: Graph, length: int) -> bool:
     """Exact test for a simple cycle on exactly `length` vertices.
 
     DFS from each start vertex (the cycle's minimum, so each cycle is
@@ -97,9 +97,9 @@ def has_cycle_length(graph: Graph, length: int, cap: int = TARGET_VERTEX_CAP) ->
     """
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    if graph.n > cap:
+    if graph.n > TARGET_VERTEX_CAP:
         raise CapExceededError(
-            f"cycle search capped at {cap} vertices, host has {graph.n}"
+            f"cycle search capped at {TARGET_VERTEX_CAP} vertices, host has {graph.n}"
         )
     if graph.n < length:
         return False
@@ -129,7 +129,6 @@ def has_biclique(
     m1: int,
     m2: int,
     respect_bipartition: bool = False,
-    cap: int = TARGET_VERTEX_CAP,
 ) -> bool:
     """Exact test for disjoint sets A (|A|=m1), B (|B|=m2), all cross edges present.
 
@@ -139,9 +138,9 @@ def has_biclique(
     """
     if m1 < 1 or m2 < 1:
         raise ValueError("biclique part sizes must be >= 1")
-    if graph.n > cap:
+    if graph.n > TARGET_VERTEX_CAP:
         raise CapExceededError(
-            f"biclique search capped at {cap} vertices, host has {graph.n}"
+            f"biclique search capped at {TARGET_VERTEX_CAP} vertices, host has {graph.n}"
         )
     adj = graph.adjacency_bitsets()
     if respect_bipartition:
@@ -188,6 +187,7 @@ def class_contains_target(
     side=None,
     respect_bipartition: bool = False,
 ) -> bool:
+    """Whole-graph test: does the class with these edges contain `target`?"""
     sub = Graph(graph_n, class_edges, side=side)
     if isinstance(target, CycleTarget):
         return has_cycle_length(sub, target.length)
@@ -426,15 +426,6 @@ def bipartite_arrows(
     return _search(host, tuple(targets), edge_cap, respect_bipartition=True)
 
 
-def find_good_coloring(
-    host: Graph,
-    targets: tuple[Target, ...],
-    edge_cap: int = ARROW_EDGE_CAP,
-) -> Optional[EdgeColoring]:
-    """A coloring with no monochromatic target, or None iff host arrows targets."""
-    return arrows(host, targets, edge_cap=edge_cap).witness
-
-
 __all__ = [
     "CycleTarget",
     "BicliqueTarget",
@@ -442,11 +433,11 @@ __all__ = [
     "parse_targets",
     "has_cycle_length",
     "has_biclique",
+    "class_contains_target",
     "EdgeColoring",
     "ArrowResult",
     "arrows",
     "bipartite_arrows",
-    "find_good_coloring",
     "verify_coloring_avoids_targets",
     "ARROW_EDGE_CAP",
     "TARGET_VERTEX_CAP",

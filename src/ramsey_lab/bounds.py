@@ -25,9 +25,9 @@ from . import threshold_solver
 
 Rational = Union[int, Fraction]
 
-#: Hard ceiling on the recursion level; the coefficients grow doubly
-#: exponentially (roughly 35**(2**t)), so anything beyond this is almost
-#: certainly a caller bug.  Raise explicitly if you really want more.
+#: Hard ceiling on the recursion level (and on the odd cycle count of a host
+#: size); the coefficients grow doubly exponentially (roughly 35**(2**t)),
+#: so anything beyond this is almost certainly a caller bug.
 DEFAULT_T_CAP = 8
 
 
@@ -137,17 +137,16 @@ def base_linear_form() -> LinearForm:
     return LinearForm(33, 49, 0)
 
 
-def _check_level(t: int, t_cap: int, minimum: int = 1) -> None:
+def _check_level(t: int, minimum: int = 1) -> None:
     if not isinstance(t, int) or t < minimum:
         raise ValueError(f"level t must be an integer >= {minimum}, got {t!r}")
-    if t > t_cap:
+    if t > DEFAULT_T_CAP:
         raise ValueError(
-            f"level t={t} exceeds the cap {t_cap}; coefficients grow like "
-            f"35**(2**t), pass a larger t_cap explicitly if this is intended"
+            f"level t={t} exceeds the cap {DEFAULT_T_CAP}; coefficients grow like 35**(2**t)"
         )
 
 
-def ramsey_linear_form(t: int, t_cap: int = DEFAULT_T_CAP) -> LinearForm:
+def ramsey_linear_form(t: int) -> LinearForm:
     """Coefficients (a_t, b_t, c_t) of the level-t linear form.
 
     Quadratic recursion from level t-1:
@@ -156,7 +155,7 @@ def ramsey_linear_form(t: int, t_cap: int = DEFAULT_T_CAP) -> LinearForm:
         b_t = 49*a**2 + a*b + 49*b
         c_t = -a*b + a*c + c
     """
-    _check_level(t, t_cap)
+    _check_level(t)
     a, b, c = 33, 49, 0
     for _ in range(t - 1):
         a, b, c = (
@@ -167,7 +166,7 @@ def ramsey_linear_form(t: int, t_cap: int = DEFAULT_T_CAP) -> LinearForm:
     return LinearForm(a, b, c)
 
 
-def eval_ramsey_form(t: int, m1: int, m2: int, t_cap: int = DEFAULT_T_CAP) -> int:
+def eval_ramsey_form(t: int, m1: int, m2: int) -> int:
     """Evaluate the level-t form by the literal two-fold recursion.
 
     Level 1 is the base form; level t plugs a level-(t-1) value back into
@@ -179,22 +178,22 @@ def eval_ramsey_form(t: int, m1: int, m2: int, t_cap: int = DEFAULT_T_CAP) -> in
     This is intentionally *not* the coefficient route, so the two can be
     cross-checked against each other.
     """
-    _check_level(t, t_cap)
+    _check_level(t)
     if m1 < 1 or m2 < 1:
         raise ValueError("arguments m1, m2 must be positive integers")
     if t == 1:
         return 33 * m1 + 49 * m2
     outer = 32 * m1 + 49 * m2
-    inner = eval_ramsey_form(t - 1, outer, m1 + m2 - 1, t_cap)
-    return eval_ramsey_form(t - 1, inner, outer, t_cap)
+    inner = eval_ramsey_form(t - 1, outer, m1 + m2 - 1)
+    return eval_ramsey_form(t - 1, inner, outer)
 
 
-def closed_form_envelope(t: int, m1: int, m2: int, t_cap: int = DEFAULT_T_CAP) -> int:
+def closed_form_envelope(t: int, m1: int, m2: int) -> int:
     """Closed-form dominating value ``35**(2**t - 2) * (32*m1 + 49*m2)``.
 
     Defined for t >= 2; it upper-bounds :func:`eval_ramsey_form` there.
     """
-    _check_level(t, t_cap, minimum=2)
+    _check_level(t, minimum=2)
     if m1 < 0 or m2 < 0:
         raise ValueError("arguments m1, m2 must be nonnegative")
     return 35 ** (2**t - 2) * (32 * m1 + 49 * m2)
@@ -203,7 +202,7 @@ def closed_form_envelope(t: int, m1: int, m2: int, t_cap: int = DEFAULT_T_CAP) -
 # ── closed-form host sizes ───────────────────────────────────────────────────
 
 
-def multicycle_host_size(spec: CycleSpec, m: int, t_cap: int = DEFAULT_T_CAP) -> Fraction:
+def multicycle_host_size(spec: CycleSpec, m: int) -> Fraction:
     """Host size ``82 * 35**(2**t_odd - 2) * 81**t_even * m`` as an exact rational.
 
     With no odd cycles the exponent is -1 and the value is a genuine
@@ -212,17 +211,9 @@ def multicycle_host_size(spec: CycleSpec, m: int, t_cap: int = DEFAULT_T_CAP) ->
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if spec.t_odd > t_cap:
-        raise ValueError(f"t_odd={spec.t_odd} exceeds cap {t_cap}")
+    if spec.t_odd > DEFAULT_T_CAP:
+        raise ValueError(f"t_odd={spec.t_odd} exceeds cap {DEFAULT_T_CAP}")
     return Fraction(82) * Fraction(35) ** (2**spec.t_odd - 2) * 81**spec.t_even * m
-
-
-def bipartite_ramsey_bound(t: int, m: int, t_cap: int = DEFAULT_T_CAP) -> int:
-    """Bipartite host side ``81**t * m`` for t even cycles plus a biclique side m."""
-    _check_level(t, t_cap)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    return 81**t * m
 
 
 # ── length constraints ───────────────────────────────────────────────────────
@@ -285,16 +276,14 @@ def _check_finite(tight: float, loose: float, model: str, cf: float) -> None:
 def size_ramsey_gnp(spec: CycleSpec) -> BoundReport:
     """Edge-count coefficient for the binomial random host G(c*n, d/N).
 
-    Sharp coefficient: c**2 * (c*ln(c) - (c-2)*ln(c-2)) / 2, also equal
-    to c*d/2 at the critical density d; loose closed form
-    (ln(c) + 1) * c**2.  The sharp form is evaluated as
-    c**2 * (2*ln(c-2) - c*log1p(-2/c)) / 2, which does not cancel for
-    large c.
+    Sharp coefficient c*d/2 at the critical density d (which equals
+    c**2 * (c*ln(c) - (c-2)*ln(c-2)) / 2); loose closed form
+    (ln(c) + 1) * c**2.
     """
     c = host_constant(spec)
     cf = threshold_solver._binary64(c, "host constant c")
     d = threshold_solver.gnp_min_density(1 / c)
-    tight = cf * cf * (2.0 * math.log(cf - 2.0) - cf * math.log1p(-2.0 / cf)) / 2.0
+    tight = cf * d / 2.0
     loose = (math.log(cf) + 1.0) * cf * cf
     _check_finite(tight, loose, "gnp", cf)
     return BoundReport(
@@ -347,17 +336,16 @@ def size_ramsey_regular(
 def size_ramsey_bipartite(spec: CycleSpec) -> BoundReport:
     """Edge-count coefficient for the bipartite random host, all-even specs only.
 
-    Host is G(N, N, d/N) with N = 81**t * n; sharp coefficient
-    2*c**2*(c*ln(c) - (c-1)*ln(c-1)) with c = 81**t, evaluated without
-    cancellation as 2*c**2*(ln(c-1) - c*log1p(-1/c)); loose form
-    2*c**2*(ln(c) + 1).
+    Host is G(N, N, d/N) with N = 81**t * n; sharp coefficient c*d at the
+    critical density d with c = 81**t (which equals
+    2*c**2*(c*ln(c) - (c-1)*ln(c-1))); loose form 2*c**2*(ln(c) + 1).
     """
     if spec.t_odd:
         raise ValueError("bipartite bound requires every cycle length to be even")
     c = Fraction(81) ** spec.t
     cf = threshold_solver._binary64(c, "host constant c")
     d = threshold_solver.bipartite_min_density(1 / c)
-    tight = 2.0 * cf * cf * (math.log(cf - 1.0) - cf * math.log1p(-1.0 / cf))
+    tight = cf * d
     loose = 2.0 * cf * cf * (math.log(cf) + 1.0)
     _check_finite(tight, loose, "bipartite", cf)
     return BoundReport(
@@ -380,7 +368,6 @@ __all__ = [
     "eval_ramsey_form",
     "closed_form_envelope",
     "multicycle_host_size",
-    "bipartite_ramsey_bound",
     "ceil_log2_fraction",
     "validate_length_constraints",
     "host_constant",

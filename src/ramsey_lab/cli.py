@@ -37,6 +37,7 @@ from .bounds import (
     size_ramsey_regular,
 )
 from .constructions import (
+    BUILD_SIZE_CAP,
     Graph,
     build_complete_multipartite,
     build_connector_tree,
@@ -55,7 +56,7 @@ from .threshold_solver import (
     regular_min_density,
     check_density_certificate,
 )
-from .arrow_checker import arrows, bipartite_arrows, parse_targets
+from .arrow_checker import TARGET_VERTEX_CAP, arrows, bipartite_arrows, parse_targets
 
 #: Headline reference values the `reproduce` subcommand checks, in units of
 #: 10^6 for the coefficient entries.  A coefficient row passes when the
@@ -240,25 +241,39 @@ def cmd_construct(args) -> str:
 
 
 def _host_from_token(token: str) -> Graph:
-    """K6, K3x3, C8, M2x2x1 generators, or @path to read an edge list."""
+    """K6, K3x3, C8, M2x2x1 generators, or @path to read an edge list.
+
+    A generated host is sized from the token's numbers before it is built:
+    it may have TARGET_VERTEX_CAP vertices with an edge, BUILD_SIZE_CAP without.
+    """
     if token.startswith("@"):
         with open(token[1:], "r", encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
+    kind, rest = token[:1].upper(), token[1:].lower()
+    if kind not in ("K", "C", "M"):
+        raise ValueError(
+            f"unknown host {token!r}: use K<n>, K<a>x<b>, C<n>, M<s1>x<s2>x..., or @file"
+        )
     try:
-        if token[:1] in ("K", "k") and "x" in token.lower():
-            a, _, b = token[1:].lower().partition("x")
-            return Graph.complete_bipartite(int(a), int(b))
-        if token[:1] in ("K", "k"):
-            return Graph.complete(int(token[1:]))
-        if token[:1] in ("C", "c"):
-            return Graph.cycle(int(token[1:]))
-        if token[:1] in ("M", "m"):
-            return build_complete_multipartite([int(t) for t in token[1:].lower().split("x")])
+        if kind == "C":
+            n = m = int(rest)
+        elif kind == "K" and "x" not in rest:
+            n = int(rest)
+            m = n * (n - 1) // 2
+        else:
+            sizes = [int(t) for t in (rest.split("x") if kind == "M" else rest.partition("x")[::2])]
+            n = sum(sizes)
+            m = (n * n - sum(s * s for s in sizes)) // 2
+        cap = TARGET_VERTEX_CAP if m > 0 else BUILD_SIZE_CAP
+        if n > cap:
+            raise CapExceededError(f"host {token} has {n} vertices, over the cap of {cap}")
+        if kind == "C":
+            return Graph.cycle(n)
+        if kind == "M":
+            return build_complete_multipartite(sizes)
+        return Graph.complete_bipartite(*sizes) if "x" in rest else Graph.complete(n)
     except ValueError as exc:
         raise ValueError(f"bad host token {token!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown host {token!r}: use K<n>, K<a>x<b>, C<n>, M<s1>x<s2>x..., or @file"
-    )
 
 
 def cmd_arrow(args) -> str:

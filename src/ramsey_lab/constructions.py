@@ -11,10 +11,9 @@ Two tree builders drive everything:
   at distance exactly n-1.
 
 Also here: the shared simple-graph type used by the random models and the
-arrow checker, the neighbourhood-expansion condition that guarantees
-bounded-degree trees embed, a backtracking tree embedder to witness it at
-desk scale, complete multipartite hosts, and the plain-text edge-list
-serialisation every command shares.
+arrow checker, complete multipartite hosts, and the plain-text edge-list
+serialisation every command shares.  Every builder checks the size its
+arguments ask for against ``BUILD_SIZE_CAP`` before it allocates.
 """
 
 from __future__ import annotations
@@ -26,6 +25,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError
+
+#: most vertices (trees) or vertices plus edges (multipartite hosts) a builder allocates
+BUILD_SIZE_CAP = 10**6
+
+
+def _check_size(what: str, size: int) -> None:
+    if size > BUILD_SIZE_CAP:
+        raise CapExceededError(f"{what}: {size} is over the build cap of {BUILD_SIZE_CAP}")
 
 
 def ceil_log2(n: int) -> int:
@@ -169,10 +176,11 @@ def build_complete_multipartite(sizes: Sequence[int]) -> Graph:
     sizes = list(sizes)
     if not sizes or any(not isinstance(s, int) or s < 1 for s in sizes):
         raise ValueError("class sizes must be positive integers")
+    n = sum(sizes)
+    _check_size("multipartite vertices plus edges", n + (n * n - sum(s * s for s in sizes)) // 2)
     offsets = [0]
     for s in sizes:
         offsets.append(offsets[-1] + s)
-    n = offsets[-1]
     edges = []
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
@@ -266,6 +274,7 @@ def build_leaf_tree(n: int) -> RootedTree:
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"leaf tree needs an integer n >= 2, got {n!r}")
+    _check_size("leaf tree vertices", 2 * n + ceil_log2(n) - 2)
     exps = binary_decomposition(n)
     if len(exps) == 1:
         parent, depth = _perfect_tree_block(exps[0], 0, -1, -1)
@@ -321,6 +330,7 @@ def build_connector_tree(m1: int, m2: int, n: int) -> RootedTree:
             f"n={n} is too small: need n >= {2 + l1 + l2} so the joining path "
             f"has positive length"
         )
+    _check_size("connector tree vertices", n + 2 * m1 + 2 * m2)
     x_parent, x_depth, x_leaves = _leaf_tree_parts(m1)
     y_tree_parent, y_tree_depth, y_tree_leaves = _leaf_tree_parts(m2)
     v1 = len(x_parent)
@@ -456,89 +466,6 @@ def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
     return report
 
 
-# ── neighbourhood expansion and tree embedding ───────────────────────────────
-
-
-def expansion_condition_check(
-    graph: Graph,
-    n_tree: int,
-    d: int,
-    cap: int = 24,
-) -> tuple[bool, Optional[frozenset]]:
-    """Does every set X with 1 <= |X| <= 2*n_tree - 2 satisfy |N(X)| >= (d+1)|X|?
-
-    This is the expansion hypothesis under which every tree on n_tree
-    vertices with maximum degree <= d embeds.  Exhaustive over subsets,
-    smallest sizes first, so a returned violation is minimum-size.
-    N(X) is the union of neighbourhoods (it may intersect X).
-    """
-    if graph.n > cap:
-        raise CapExceededError(
-            f"expansion check enumerates subsets; |V|={graph.n} exceeds cap {cap}"
-        )
-    if n_tree < 1 or d < 0:
-        raise ValueError("need n_tree >= 1 and d >= 0")
-    adj = graph.adjacency_bitsets()
-    top = min(2 * n_tree - 2, graph.n)
-    for size in range(1, top + 1):
-        need = (d + 1) * size
-        for xs in combinations(range(graph.n), size):
-            hood = 0
-            for v in xs:
-                hood |= adj[v]
-            if hood.bit_count() < need:
-                return False, frozenset(xs)
-    return True, None
-
-
-def embed_tree_backtracking(
-    graph: Graph,
-    tree: RootedTree,
-    cap: int = 40,
-) -> Optional[dict[int, int]]:
-    """Injective adjacency-preserving embedding of the tree, or None.
-
-    Backtracks over tree vertices in id order (parents first), mapping
-    each child to an unused neighbour of its parent's image.  Exhaustive:
-    None means no embedding exists.
-    """
-    if graph.n > cap:
-        raise CapExceededError(
-            f"embedding host has {graph.n} vertices, cap is {cap}"
-        )
-    nt = tree.n
-    if nt > graph.n:
-        return None
-    children = [[] for _ in range(nt)]
-    for v in range(1, nt):
-        children[int(tree.parent[v])].append(v)
-    # a tree vertex with k children needs an image of degree >= k (+1 off-root)
-    need = [len(children[v]) + (1 if v else 0) for v in range(nt)]
-    adj = graph.adjacency_bitsets()
-    deg = graph.degrees()
-    image = [-1] * nt
-
-    def place(v: int, used: int):
-        if v == nt:
-            return True
-        if v == 0:
-            candidates = range(graph.n)
-        else:
-            candidates = _bits(adj[image[int(tree.parent[v])]] & ~used)
-        for g_v in candidates:
-            if used >> g_v & 1 or deg[g_v] < need[v]:
-                continue
-            image[v] = g_v
-            if place(v + 1, used | 1 << g_v):
-                return True
-        image[v] = -1
-        return False
-
-    if place(0, 0):
-        return {v: image[v] for v in range(nt)}
-    return None
-
-
 # ── edge-list serialisation ──────────────────────────────────────────────────
 
 
@@ -579,6 +506,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 __all__ = [
+    "BUILD_SIZE_CAP",
     "Graph",
     "RootedTree",
     "ceil_log2",
@@ -588,8 +516,6 @@ __all__ = [
     "verify_leaf_tree",
     "verify_connector_tree",
     "build_complete_multipartite",
-    "expansion_condition_check",
-    "embed_tree_backtracking",
     "serialize_edge_list",
     "serialize_graph",
     "serialize_tree",

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive search was asked to run beyond its configured size cap.
+    """A search or a builder was asked to run beyond its fixed size cap.
 
-    Raised loudly instead of silently truncating the search: callers that
-    want a bigger search must raise the cap explicitly.
+    Raised loudly instead of silently truncating the search.
     """
 
 

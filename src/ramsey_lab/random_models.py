@@ -96,11 +96,6 @@ class Multigraph:
         """Simple graph on the same vertices: loops dropped, multiplicities collapsed."""
         return Graph(self.n, {(u, v) for u, v in self.edges if u != v})
 
-    def to_graph(self) -> Graph:
-        if not self.is_simple():
-            raise ValueError("multigraph has loops or parallel edges")
-        return Graph(self.n, self.edges)
-
     def serialize(self) -> str:
         return serialize_edge_list(self.n, self.edges)
 
@@ -220,9 +215,6 @@ class HoleWitness:
     left: frozenset
     right: frozenset
 
-    def as_sorted_lists(self) -> tuple[list[int], list[int]]:
-        return sorted(self.left), sorted(self.right)
-
 
 def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) -> bool:
     """Independent re-check of every HoleWitness invariant."""
@@ -245,12 +237,7 @@ def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) 
     return all(adj[u] & right_mask == 0 for u in left)
 
 
-def find_hole_exact(
-    graph: Graph,
-    s: int,
-    vertex_cap: int = HOLE_EXACT_VERTEX_CAP,
-    size_cap: int = HOLE_EXACT_SIZE_CAP,
-) -> Optional[HoleWitness]:
+def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     """Exhaustive hole search; None is a proof that no hole of size s exists.
 
     Branch-and-bound over the left set in increasing vertex order,
@@ -259,12 +246,12 @@ def find_hole_exact(
     class 0 and the right pool over class 1; otherwise a witness swap
     symmetry lets the right pool start above the left set's minimum.
     """
-    if graph.n > vertex_cap:
+    if graph.n > HOLE_EXACT_VERTEX_CAP:
         raise CapExceededError(
-            f"exact hole search capped at {vertex_cap} vertices, host has {graph.n}"
+            f"exact hole search capped at {HOLE_EXACT_VERTEX_CAP} vertices, host has {graph.n}"
         )
-    if s > size_cap:
-        raise CapExceededError(f"exact hole search capped at size {size_cap}, got {s}")
+    if s > HOLE_EXACT_SIZE_CAP:
+        raise CapExceededError(f"exact hole search capped at size {HOLE_EXACT_SIZE_CAP}, got {s}")
     if s < 1:
         raise ValueError("hole size must be at least 1")
     adj = graph.adjacency_bitsets()

@@ -264,9 +264,9 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
     if the enclosure of the exponent at d_min does not lie at or below 0.
     """
     c = Fraction(c)
-    if c <= 3:
-        raise ValueError(f"regular model needs c > 3, got {c}")
     cf = _binary64(c, "regular model c")
+    if c <= 3:
+        raise ValueError(f"regular model needs c > 3, got {cf:.6g}")
     with _enclosure(c) as (a, k0, k1):
         if not k1.b < 0:
             raise InfeasibleDensityError(
@@ -286,25 +286,19 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
     return DensitySolveResult(c=c, d_min=d_min, worst_a=float(a), max_exponent=float(top))
 
 
-def check_density_certificate(
-    c: Rational,
-    d: Rational,
-    grid_points: int = 1_000_000,
-) -> CertificateCheck:
+def check_density_certificate(c: Rational, d: Rational) -> CertificateCheck:
     """Verify max over a in [0,1] of regular_exponent(a, c, d) <= 0.
 
     The maximum is k0 + k1(a*)*d; the check passes iff the upper end of
     its interval enclosure is <= 0, so a passing check is rigorous.
-    ``grid_points`` is accepted for existing callers and no longer affects
-    the decision: no grid is sampled.
     """
     c = Fraction(c)
     d = Fraction(d)
+    cf = _binary64(c, "regular model c")
     if c <= 3:
-        raise ValueError(f"regular model needs c > 3, got {c}")
+        raise ValueError(f"regular model needs c > 3, got {cf:.6g}")
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
-    _binary64(c, "regular model c")
     with _enclosure(c) as (a, k0, k1):
         top = (k0 + k1 * (iv.mpf(d.numerator) / d.denominator)).b
         return CertificateCheck(ok=bool(top <= 0), max_exponent=float(top), worst_a=float(a))

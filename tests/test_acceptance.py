@@ -104,11 +104,11 @@ def test_criterion_04_headline_constants():
 
 
 def test_criterion_05_regular_certificates():
-    """Million-point certificates hold at the published densities; solver agrees."""
+    """Interval certificates hold at the published densities; solver agrees."""
     t0 = time.perf_counter()
-    odd = ts.check_density_certificate(95412, 2378778, grid_points=10**6)
+    odd = ts.check_density_certificate(95412, 2378778)
     assert odd.ok and odd.max_exponent <= 0
-    even = ts.check_density_certificate(Fraction(538002, 35), 327091, grid_points=10**6)
+    even = ts.check_density_certificate(Fraction(538002, 35), 327091)
     assert even.ok and even.max_exponent <= 0
     assert ts.regular_min_density(Fraction(95412)).d_min <= 2378778
     assert ts.regular_min_density(Fraction(538002, 35)).d_min <= 327091

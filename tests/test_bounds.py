@@ -10,7 +10,6 @@ from ramsey_lab.bounds import (
     CycleSpec,
     LinearForm,
     base_linear_form,
-    bipartite_ramsey_bound,
     ceil_log2_fraction,
     closed_form_envelope,
     eval_ramsey_form,
@@ -75,7 +74,7 @@ def test_depth_cap():
         ramsey_linear_form(9)
     with pytest.raises(ValueError):
         eval_ramsey_form(9, 1, 1)
-    assert isinstance(ramsey_linear_form(8, t_cap=8), LinearForm)
+    assert isinstance(ramsey_linear_form(8), LinearForm)
 
 
 # ── host sizes and constants ─────────────────────────────────────────────────
@@ -101,13 +100,6 @@ def test_host_constants():
     assert host_constant(CycleSpec.of(5, 6)) == 6642
     # beyond two cycles the closed form takes over
     assert host_constant(CycleSpec.of(5, 5, 5)) == 82 * 35 ** (2**3 - 2)
-
-
-def test_bipartite_bound():
-    assert bipartite_ramsey_bound(1, 1) == 81
-    assert bipartite_ramsey_bound(2, 3) == 3 * 81**2
-    with pytest.raises(ValueError):
-        bipartite_ramsey_bound(0, 1)
 
 
 def test_cycle_spec_validation():

@@ -235,6 +235,28 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
     assert rc == 3 and out == "" and "capped at 20 vertices" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--leaf-tree", "99999999999"),
+    ("construct", "--connector", "1,1,99999999999"),
+    ("construct", "--multipartite", "100000,100000"),
+    ("arrow", "--host", "K100000", "--targets", "C3,C3"),
+    ("arrow", "--host", "M100000x100000", "--targets", "C3,C3"),
+    ("arrow", "--host", "K0x99999999999", "--targets", "C3,C3"),  # edgeless, over the build cap
+], ids=lambda argv: " ".join(argv[:3]))
+def test_oversized_input_is_refused_before_allocation(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_arrow_edgeless_host_over_vertex_cap_is_searched(capsys):
+    rc, out, _ = run_cli(capsys, "arrow", "--host", "M25", "--targets", "C3")
+    assert rc == 0
+    assert json.loads(out)["arrows"] is False
+
+
 def _assert_one_line_usage_error(rc: int, out: str, err: str) -> None:
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -261,9 +283,13 @@ def test_solve_regular_huge_c_is_usage_error(capsys):
     assert "binary64" in err
 
 
-@pytest.mark.parametrize("model", ["gnp", "bipartite"])
-def test_solve_huge_c_error_is_short(capsys, model):
-    rc, out, err = run_cli(capsys, "solve", "--model", model, "--c", "1e400")
+@pytest.mark.parametrize(
+    "model, c",
+    [("gnp", "1e400"), ("bipartite", "1e400"), ("regular", "1e-400")],
+    ids=["gnp", "bipartite", "regular-1e-400"],
+)
+def test_solve_huge_c_error_is_short(capsys, model, c):
+    rc, out, err = run_cli(capsys, "solve", "--model", model, "--c", c)
     _assert_one_line_usage_error(rc, out, err)
     assert len(err) < 200
 

@@ -1,4 +1,10 @@
-"""Tests for graph containers, tree builders, expansion checks, embeddings."""
+"""Tests for graph containers, tree builders and serialisation.
+
+Also checks, on small hosts, the tree-embedding lemma of Friedman and
+Pippenger (Combinatorica 1987): a host in which every small vertex set
+expands embeds every small bounded-degree tree.  The expansion check and
+the embedder are test-local helpers.
+"""
 
 from __future__ import annotations
 
@@ -280,6 +286,25 @@ def test_verify_connector_tree_catches_tampering():
     assert not cons.verify_connector_tree(plain, 2, 2, 10)["ok"]
 
 
+def test_builders_check_the_size_cap_before_allocating():
+    cap = cons.BUILD_SIZE_CAP
+    # 2n + ceil(log2 n) - 2 vertices: 999997 at n = 499990, 1000017 at n = 500000
+    assert cons.build_leaf_tree(499_990).n <= cap
+    with pytest.raises(CapExceededError):
+        cons.build_leaf_tree(500_000)
+    with pytest.raises(CapExceededError):
+        cons.build_leaf_tree(99_999_999_999)
+    with pytest.raises(CapExceededError):
+        cons.build_connector_tree(1, 1, 99_999_999_999)
+    with pytest.raises(CapExceededError):
+        cons.build_connector_tree(10**11, 1, 100)
+    with pytest.raises(CapExceededError):
+        cons.build_complete_multipartite([1000, 1001])  # 1001000 edges
+    with pytest.raises(CapExceededError):
+        cons.build_complete_multipartite([cap + 1])  # no edges, too many vertices
+    assert cons.build_complete_multipartite([cap]).n == cap
+
+
 def test_connector_trees_do_not_share_mutable_state():
     # leaf trees are cached per m; editing one connector must not leak
     first = cons.build_connector_tree(3, 5, 12)
@@ -295,18 +320,82 @@ def test_connector_trees_do_not_share_mutable_state():
 # ── expansion condition and tree embedding ───────────────────────────────────
 
 
+def expansion_condition_check(
+    graph: Graph, n_tree: int, d: int
+) -> tuple[bool, frozenset | None]:
+    """Does every set X with 1 <= |X| <= 2*n_tree - 2 satisfy |N(X)| >= (d+1)|X|?
+
+    This is the expansion hypothesis under which every tree on n_tree
+    vertices with maximum degree <= d embeds.  Exhaustive over subsets,
+    smallest sizes first, so a returned violation is minimum-size.
+    N(X) is the union of neighbourhoods (it may intersect X).
+    """
+    if n_tree < 1 or d < 0:
+        raise ValueError("need n_tree >= 1 and d >= 0")
+    adj = graph.adjacency_bitsets()
+    top = min(2 * n_tree - 2, graph.n)
+    for size in range(1, top + 1):
+        need = (d + 1) * size
+        for xs in combinations(range(graph.n), size):
+            hood = 0
+            for v in xs:
+                hood |= adj[v]
+            if hood.bit_count() < need:
+                return False, frozenset(xs)
+    return True, None
+
+
+def embed_tree_backtracking(graph: Graph, tree: RootedTree) -> dict[int, int] | None:
+    """Injective adjacency-preserving embedding of the tree, or None.
+
+    Backtracks over tree vertices in id order (parents first), mapping
+    each child to an unused neighbour of its parent's image.  Exhaustive:
+    None means no embedding exists.
+    """
+    nt = tree.n
+    if nt > graph.n:
+        return None
+    children = [[] for _ in range(nt)]
+    for v in range(1, nt):
+        children[int(tree.parent[v])].append(v)
+    # a tree vertex with k children needs an image of degree >= k (+1 off-root)
+    need = [len(children[v]) + (1 if v else 0) for v in range(nt)]
+    deg = graph.degrees()
+    image = [-1] * nt
+
+    def place(v: int, used: int) -> bool:
+        if v == nt:
+            return True
+        if v == 0:
+            candidates = range(graph.n)
+        else:
+            candidates = graph.neighbors(image[int(tree.parent[v])])
+        for g_v in candidates:
+            if used >> g_v & 1 or deg[g_v] < need[v]:
+                continue
+            image[v] = g_v
+            if place(v + 1, used | 1 << g_v):
+                return True
+        image[v] = -1
+        return False
+
+    if place(0, 0):
+        return {v: image[v] for v in range(nt)}
+    return None
+
+
 def test_expansion_on_complete_graphs():
     # K_N: |N(X)| = N-1 for singletons, N otherwise; threshold sits at N = (d+1)(2t-2)
-    ok, witness = cons.expansion_condition_check(Graph.complete(12), 3, 2)
+    ok, witness = expansion_condition_check(Graph.complete(12), 3, 2)
     assert ok and witness is None
-    ok, witness = cons.expansion_condition_check(Graph.complete(11), 3, 2)
+    ok, witness = expansion_condition_check(Graph.complete(11), 3, 2)
     assert not ok
     assert witness == frozenset({0, 1, 2, 3})  # minimum-size violation
 
 
 def test_expansion_star_witness():
     star = Graph(10, [(0, v) for v in range(1, 10)])
-    ok, witness = cons.expansion_condition_check(star, 2, 1)
+    ok, witness = expansion_condition_check(star, 2, 1)
     assert not ok
     assert witness == frozenset({1})  # a leaf sees only the centre
 
@@ -318,7 +407,7 @@ def test_expansion_witness_is_a_real_violation():
         n = rng.randint(4, 12)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
         nt, d = rng.randint(2, 3), rng.randint(1, 3)
-        ok, witness = cons.expansion_condition_check(g, nt, d)
+        ok, witness = expansion_condition_check(g, nt, d)
         if ok:
             assert witness is None
             continue
@@ -335,17 +424,14 @@ def test_expansion_monotone_in_requirements():
     for _ in range(20):
         n = rng.randint(5, 12)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6])
-        if cons.expansion_condition_check(g, 3, 2)[0]:
-            assert cons.expansion_condition_check(g, 2, 2)[0]
-            assert cons.expansion_condition_check(g, 3, 1)[0]
+        if expansion_condition_check(g, 3, 2)[0]:
+            assert expansion_condition_check(g, 2, 2)[0]
+            assert expansion_condition_check(g, 3, 1)[0]
 
 
-def test_expansion_cap_and_validation():
-    with pytest.raises(CapExceededError):
-        cons.expansion_condition_check(Graph.empty(25), 2, 1)
-    cons.expansion_condition_check(Graph.empty(25), 2, 1, cap=30)  # raised cap
+def test_expansion_validation():
     with pytest.raises(ValueError):
-        cons.expansion_condition_check(Graph.complete(4), 0, 1)
+        expansion_condition_check(Graph.complete(4), 0, 1)
 
 
 def check_embedding(graph: Graph, tree: RootedTree, image: dict[int, int]) -> None:
@@ -357,21 +443,19 @@ def check_embedding(graph: Graph, tree: RootedTree, image: dict[int, int]) -> No
 def test_embed_examples():
     tree = cons.build_leaf_tree(4)  # 7 vertices, max degree 3
     host = Graph.complete(7)
-    image = cons.embed_tree_backtracking(host, tree)
+    image = embed_tree_backtracking(host, tree)
     assert image is not None
     check_embedding(host, tree, image)
 
     path5 = cons.build_connector_tree(1, 1, 5)  # path on 5 vertices
-    image = cons.embed_tree_backtracking(Graph.cycle(5), path5)
+    image = embed_tree_backtracking(Graph.cycle(5), path5)
     assert image is not None
     check_embedding(Graph.cycle(5), path5, image)
 
     star = Graph(5, [(0, v) for v in range(1, 5)])
-    assert cons.embed_tree_backtracking(star, path5) is None  # path needs 3 mid-degrees
+    assert embed_tree_backtracking(star, path5) is None  # path needs 3 mid-degrees
 
-    assert cons.embed_tree_backtracking(Graph.complete(3), tree) is None  # too small
-    with pytest.raises(CapExceededError):
-        cons.embed_tree_backtracking(Graph.empty(41), path5)
+    assert embed_tree_backtracking(Graph.complete(3), tree) is None  # too small
 
 
 def test_expansion_implies_embedding():
@@ -385,12 +469,12 @@ def test_expansion_implies_embedding():
         n = rng.randint(6, 18)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.7])
         for nt, d, trees in [(2, 1, [p2]), (3, 2, [p2, p3, cherry])]:
-            ok, _ = cons.expansion_condition_check(g, nt, d)
+            ok, _ = expansion_condition_check(g, nt, d)
             if not ok:
                 continue
             non_vacuous += 1
             for tree in trees:
-                image = cons.embed_tree_backtracking(g, tree)
+                image = embed_tree_backtracking(g, tree)
                 assert image is not None
                 check_embedding(g, tree, image)
     assert non_vacuous >= 30

@@ -209,8 +209,9 @@ def test_find_hole_exact_caps():
         rm.find_hole_exact(Graph.empty(20), 9)
     with pytest.raises(ValueError):
         rm.find_hole_exact(Graph.empty(20), 0)
-    # caps are arguments, not constants baked into the search
-    assert rm.find_hole_exact(Graph.empty(61), 2, vertex_cap=80) is not None
+    # hosts and holes exactly at the caps are searched
+    assert rm.find_hole_exact(Graph.empty(60), 2) is not None
+    assert rm.find_hole_exact(Graph.empty(20), 8) is not None
 
 
 def test_heuristic_returns_verified_witnesses_only():
