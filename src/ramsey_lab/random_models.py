@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .bounds import format_rational
 from .errors import CapExceededError
-from .constructions import Graph, _bits, serialize_edge_list
+from .constructions import Graph, _bits
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -87,17 +87,9 @@ class Multigraph:
             deg[v] += 1
         return deg
 
-    def is_simple(self) -> bool:
-        return all(u != v for u, v in self.edges) and len(set(self.edges)) == len(
-            self.edges
-        )
-
     def support_graph(self) -> Graph:
         """Simple graph on the same vertices: loops dropped, multiplicities collapsed."""
         return Graph(self.n, {(u, v) for u, v in self.edges if u != v})
-
-    def serialize(self) -> str:
-        return serialize_edge_list(self.n, self.edges)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Multigraph(n={self.n}, edges={self.edge_count})"
@@ -240,11 +232,21 @@ def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) 
 def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     """Exhaustive hole search; None is a proof that no hole of size s exists.
 
-    Branch-and-bound over the left set in increasing vertex order,
-    maintaining the bitmask of still-compatible right vertices and pruning
-    when it drops below s.  For 2-class hosts the left set ranges over
-    class 0 and the right pool over class 1; otherwise a witness swap
-    symmetry lets the right pool start above the left set's minimum.
+    Branch-and-bound over the left set in increasing vertex order, keeping
+    the bitmask of right vertices compatible with every chosen left vertex.
+    Each node filters its candidates once: a later vertex stays live only
+    if adding it leaves at least s right options, and its narrowed pool is
+    stored next to it.  Children scan only the live candidates after their
+    own vertex, and a node stops once too few remain to fill the left set.
+    Pools only shrink, so a vertex dead at a node is dead in its whole
+    subtree: the filter cuts no subtree that holds a hole, and the witness
+    is the lexicographically-first left set, with the s smallest vertices
+    of its pool on the right, as for a search that prunes only on the pool.
+
+    For 2-class hosts the left set ranges over class 0 and the right pool
+    over class 1.  Otherwise a witness swap symmetry lets the first left
+    vertex's pool start above it; that mask narrows the first vertex's
+    pool only, never the stored pools of the candidates after it.
     """
     if graph.n > HOLE_EXACT_VERTEX_CAP:
         raise CapExceededError(
@@ -256,6 +258,7 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
         raise ValueError("hole size must be at least 1")
     adj = graph.adjacency_bitsets()
     n = graph.n
+    symmetric = graph.side is None
 
     if graph.side is not None:
         left_vertices = graph.side_vertices(0)
@@ -266,31 +269,24 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
         left_vertices = list(range(n))
         pool0 = (1 << n) - 1
 
-    chosen: list[int] = []
-
-    def extend(start_idx: int, pool: int) -> Optional[HoleWitness]:
-        if len(chosen) == s:
-            if pool.bit_count() >= s:
-                return HoleWitness(frozenset(chosen), frozenset(_bits(pool)[:s]))
-            return None
-        for idx in range(start_idx, len(left_vertices)):
-            if len(left_vertices) - idx < s - len(chosen):
-                break
-            v = left_vertices[idx]
-            new_pool = pool & ~adj[v] & ~(1 << v)
-            if graph.side is None and not chosen:
+    def extend(chosen: list[int], pool: int, cands) -> Optional[HoleWitness]:
+        live = [(v, q) for v, p in cands if (q := pool & p).bit_count() >= s]
+        need = s - len(chosen)
+        for i in range(len(live) - need + 1):
+            v, q = live[i]
+            if symmetric and not chosen:
                 # swap symmetry: assume the overall minimum vertex sits on the left
-                new_pool &= -1 << (v + 1)
-            if new_pool.bit_count() < s:
-                continue
-            chosen.append(v)
-            found = extend(idx + 1, new_pool)
+                q &= -1 << (v + 1)
+                if q.bit_count() < s:
+                    continue
+            if need == 1:
+                return HoleWitness(frozenset(chosen + [v]), frozenset(_bits(q)[:s]))
+            found = extend(chosen + [v], q, live[i + 1 :])
             if found is not None:
                 return found
-            chosen.pop()
         return None
 
-    return extend(0, pool0)
+    return extend([], pool0, [(v, ~(adj[v] | 1 << v)) for v in left_vertices])
 
 
 def _uniforms(rng: np.random.Generator, block: int):

@@ -1,13 +1,17 @@
 """Shared pytest wiring: a PASS/FAIL summary line per acceptance criterion,
-and an independent high-precision oracle for the regular-model density."""
+an independent high-precision oracle for the regular-model density, and a
+planted-hole generator for the hole searches."""
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
 import mpmath
 import pytest
+
+from ramsey_lab.constructions import Graph
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -59,3 +63,21 @@ def _regular_density_oracle(c) -> mpmath.mpf:
 @pytest.fixture
 def regular_density_oracle():
     return _regular_density_oracle
+
+
+def _plant_hole(graph: Graph, s: int, seed: int) -> tuple[Graph, frozenset, frozenset]:
+    """``graph`` with every edge between two random disjoint s-sets deleted.
+
+    The 2s vertices are drawn with ``random.Random(seed)``.  Returns the
+    new graph and the two sets; no hole search is called.
+    """
+    both = random.Random(seed).sample(range(graph.n), 2 * s)
+    left, right = frozenset(both[:s]), frozenset(both[s:])
+    kept = [(u, v) for u, v in graph.edges
+            if not (u in left and v in right or u in right and v in left)]
+    return Graph(graph.n, kept), left, right
+
+
+@pytest.fixture
+def plant_hole():
+    return _plant_hole

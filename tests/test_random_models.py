@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -68,13 +69,18 @@ def test_bipartite_sampler():
 # ── pairing model ────────────────────────────────────────────────────────────
 
 
+def _is_simple(mg: Multigraph) -> bool:
+    """No loop and no repeated edge."""
+    return all(u != v for u, v in mg.edges) and len(set(mg.edges)) == len(mg.edges)
+
+
 def test_multigraph_invariants():
     mg = Multigraph(3, [(0, 0), (1, 2), (2, 1)])
     assert mg.edge_count == 3
     assert mg.degrees() == [2, 2, 2]  # loop counts twice
-    assert not mg.is_simple()
+    assert not _is_simple(mg)
     assert mg.support_graph() == Graph(3, [(1, 2)])  # loops and repeats dropped
-    assert Multigraph(3, [(0, 1), (1, 2)]).is_simple()
+    assert _is_simple(Multigraph(3, [(0, 1), (1, 2)]))
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 2)])
 
@@ -92,7 +98,7 @@ def test_pairing_degrees_always_exact():
 def test_pairing_d1_is_a_perfect_matching():
     mg = rm.sample_pairing(10, 1, 7)
     assert mg.degrees() == [1] * 10
-    assert mg.is_simple()
+    assert _is_simple(mg)
     assert len({v for e in mg.edges for v in e}) == 10
 
 
@@ -157,6 +163,43 @@ def brute_force_has_hole(graph: Graph, s: int) -> bool:
     return False
 
 
+def plain_branch_and_bound(graph: Graph, s: int) -> Optional[HoleWitness]:
+    """Reference oracle: the search that prunes only when the right pool drops below s.
+
+    Left sets in increasing vertex order; the first whose pool keeps s
+    right vertices is returned with the s smallest of them.  Without
+    2-class labels the right set lies above the left set's minimum.
+    """
+    adj = graph.adjacency_bitsets()
+    if graph.side is not None:
+        lefts = graph.side_vertices(0)
+        pool0 = sum(1 << v for v in graph.side_vertices(1))
+    else:
+        lefts = list(range(graph.n))
+        pool0 = (1 << graph.n) - 1
+    chosen: list[int] = []
+
+    def extend(start: int, pool: int) -> Optional[HoleWitness]:
+        if len(chosen) == s:
+            right = [v for v in range(graph.n) if pool >> v & 1][:s]
+            return HoleWitness(frozenset(chosen), frozenset(right))
+        for idx in range(start, len(lefts)):
+            v = lefts[idx]
+            new_pool = pool & ~adj[v] & ~(1 << v)
+            if graph.side is None and not chosen:
+                new_pool &= -1 << (v + 1)
+            if new_pool.bit_count() < s:
+                continue
+            chosen.append(v)
+            found = extend(idx + 1, new_pool)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    return extend(0, pool0)
+
+
 def test_verify_hole_rules():
     g = Graph(6, [(0, 1), (2, 3)])
     assert rm.verify_hole(g, HoleWitness(frozenset({0, 2}), frozenset({4, 5})))
@@ -200,6 +243,62 @@ def test_find_hole_exact_matches_brute_force():
             assert rm.verify_hole(g, w, s)
             found += 1
     assert found >= 40
+
+
+def test_find_hole_exact_matches_brute_force_at_size_four():
+    """s = 4 reaches the fourth level of the candidate filter; witnesses match the plain search."""
+    rng = random.Random(23)
+    found = empty = 0
+    for trial in range(120):
+        n = rng.randint(8, 12)
+        p = rng.choice([0.15, 0.3, 0.45])
+        if trial % 3 == 0:
+            g = rm.sample_bipartite(n // 2, n // 2, p, trial)
+        else:
+            g = rm.sample_gnp(n, p, trial)
+        w = rm.find_hole_exact(g, 4)
+        assert (w is not None) == brute_force_has_hole(g, 4), (trial, n, p)
+        assert w == plain_branch_and_bound(g, 4), (trial, n, p)
+        if w is not None:
+            assert rm.verify_hole(g, w, 4)
+            found += 1
+        else:
+            empty += 1
+    assert found >= 30 and empty >= 30
+
+
+def test_find_hole_exact_matches_plain_search_at_the_caps():
+    """Identical witnesses to the plain search at 60 vertices and size 8.
+
+    G(60, 0.47) at s = 8 is the benchmark's host (4 of these 12 hold a
+    hole); bipartite G(30, 30, 0.4) at s = 6..8 covers the 2-class branch
+    (7 of 12).  Filtering later candidates against the first vertex's
+    swap-symmetry mask turns real holes into "no hole" here.
+    """
+    holes = 0
+    for seed in range(12):
+        g = rm.sample_gnp(60, 0.47, seed)
+        w = rm.find_hole_exact(g, 8)
+        assert w == plain_branch_and_bound(g, 8), seed
+        holes += w is not None
+    assert holes == 4
+    holes = 0
+    for seed in range(12):
+        s = 6 + seed % 3
+        g = rm.sample_bipartite(30, 30, 0.4, seed)
+        w = rm.find_hole_exact(g, s)
+        assert w == plain_branch_and_bound(g, s), (seed, s)
+        holes += w is not None
+    assert holes == 7
+
+
+def test_find_hole_exact_finds_planted_holes(plant_hole):
+    for p in (0.47, 0.6):
+        for seed in range(20):
+            g, left, right = plant_hole(rm.sample_gnp(60, p, seed), 8, seed)
+            assert rm.verify_hole(g, HoleWitness(left, right), 8)
+            w = rm.find_hole_exact(g, 8)
+            assert w is not None and rm.verify_hole(g, w, 8), (p, seed)
 
 
 def test_find_hole_exact_caps():
