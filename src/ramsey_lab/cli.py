@@ -12,11 +12,15 @@ via %.12g, no timestamps, no timings.  Each run appends a one-line JSON
 manifest to stderr carrying the version, the parameter echo, a UTC
 timestamp and a sha256 of the stdout bytes.  Exit codes: 0 success,
 2 usage/validation, 3 search cap exceeded, 4 infeasible density system.
+
+The argument parser is built once per process, on the first ``main`` call.
+Handlers resolve library calls as module globals at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -402,6 +406,7 @@ def cmd_reproduce(args) -> str:
 # ── parser and dispatch ──────────────────────────────────────────────────────
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramsey-lab",

@@ -241,7 +241,7 @@ class RootedTree:
         return int(self.degrees().max())
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(int(self.parent[v]), v) for v in range(1, self.n)]
+        return list(zip(self.parent[1:].tolist(), range(1, self.n)))
 
     def to_graph(self) -> Graph:
         return Graph(self.n, self.edges())
@@ -469,12 +469,11 @@ def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
 # ── edge-list serialisation ──────────────────────────────────────────────────
 
 
-def serialize_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    """Shared plain-text format: header "n m", then sorted "u v" lines (u < v)."""
-    norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    lines = [f"{n} {len(norm)}"]
-    lines.extend(f"{u} {v}" for u, v in norm)
-    return "\n".join(lines) + "\n"
+def serialize_edge_list(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> str:
+    """Shared plain-text format: header "n m", then sorted "u v" lines (u < v, duplicates kept)."""
+    pairs = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return f"{n} {len(pairs)}\n" + "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
 
 
 def serialize_graph(graph: Graph) -> str:
@@ -482,7 +481,7 @@ def serialize_graph(graph: Graph) -> str:
 
 
 def serialize_tree(tree: RootedTree) -> str:
-    return serialize_edge_list(tree.n, tree.edges())
+    return serialize_edge_list(tree.n, np.column_stack((tree.parent[1:], np.arange(1, tree.n))))
 
 
 def parse_edge_list(text: str) -> Graph:

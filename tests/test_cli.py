@@ -144,6 +144,22 @@ def test_construct_multipartite_golden(capsys):
     assert out.splitlines()[1] == "5 8"
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("construct", "--leaf-tree", "9000"),
+     "7934900ca0df546c0af3ee7885f3a003b059eaf81444f7d2f0f3b53d9f1a0cb3"),
+    (("construct", "--connector", "3000,2500,430"),
+     "b53e67a7e193c6809b9c93ad85709a0ad6f7c9b1dcbff21fecedd840aac54743"),
+    (("construct", "--connector", "1,1,2"),
+     "9ad2c87012d9e8b8c888973ab4f91bb03af508b517c63f38b5f48754cec56380"),
+    (("construct", "--multipartite", "3,4,5"),
+     "6f02437553cef146864555d526d1400f7318cfa722f2af4faf9a8da2ea22a89a"),
+], ids=["leaf-tree", "connector", "connector-path", "multipartite"])
+def test_construct_stdout_bytes_frozen(capsys, argv, sha256):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_construct_requires_exactly_one(capsys):
     rc, _, err = run_cli(capsys, "construct")
     assert rc == 2 and "exactly one" in err
@@ -358,6 +374,44 @@ def test_exit_code_infeasible(capsys, monkeypatch):
     monkeypatch.setattr(cli, "regular_min_density", boom)
     rc, _, err = run_cli(capsys, "solve", "--model", "regular", "--c", "10")
     assert rc == 4 and "error:" in err
+
+
+def _call(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects, or --version
+            rc = exc.code
+    return rc, out.getvalue()
+
+
+def test_parser_is_built_once_and_reused(monkeypatch):
+    calls = [
+        ("solve", "--model", "gnp", "--c", "10"),
+        ("solve", "--model", "gnp", "--frobnicate"),
+        ("--version",),
+        ("bounds", "--cycles", "5,5", "--format", "csv"),
+        ("construct", "--leaf-tree", "37"),
+        ("solve", "--model", "gnp", "--c", "10"),
+    ]
+    reused = [_call(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(argv))
+    assert reused == fresh
+    assert [rc for rc, _ in reused] == [0, 2, 0, 0, 0, 0]
+    assert reused[0] == reused[-1]
+    assert cli.build_parser() is cli.build_parser()
+
+    def boom(c):
+        raise InfeasibleDensityError("no negative-exponent window", a=0.5)
+
+    monkeypatch.setattr(cli, "regular_min_density", boom)
+    assert _call(("solve", "--model", "regular", "--c", "10")) == (4, "")
+    monkeypatch.undo()
+    assert _call(("solve", "--model", "regular", "--c", "10"))[0] == 0
 
 
 # ── manifest and determinism ─────────────────────────────────────────────────

@@ -496,6 +496,67 @@ def test_edge_list_round_trip():
     )
 
 
+def reference_edge_list(n: int, edges) -> str:
+    """Loop formatter: sort the normalised pairs in Python, one f-string per line."""
+    norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    lines = [f"{n} {len(norm)}"]
+    lines.extend(f"{u} {v}" for u, v in norm)
+    return "\n".join(lines) + "\n"
+
+
+def reference_tree_text(tree: RootedTree) -> str:
+    return reference_edge_list(tree.n, [(int(tree.parent[v]), v) for v in range(1, tree.n)])
+
+
+def _connector_cases(rng: random.Random) -> list[tuple[int, int, int]]:
+    cases = [(1, 1, 2), (1, 1, 3), (1, 7, 5), (6, 1, 5), (4096, 4096, 26)]
+    while len(cases) < 50:
+        m1, m2 = rng.randint(1, 4096), rng.randint(1, 4096)
+        lo = 2 + cons.ceil_log2(m1) + cons.ceil_log2(m2)  # joining path of length 1
+        cases.append((m1, m2, lo + rng.choice([0, rng.randint(1, 400)])))
+    return cases
+
+
+def test_serialize_tree_matches_loop_formatter():
+    rng = random.Random(2024)
+    leaf_sizes = list(range(2, 301)) + [rng.randint(2, 10**4) for _ in range(50)]
+    for n in leaf_sizes:
+        tree = cons.build_leaf_tree(n)
+        assert cons.serialize_tree(tree) == reference_tree_text(tree), n
+    for m1, m2, n in _connector_cases(random.Random(2025)):
+        tree = cons.build_connector_tree(m1, m2, n)
+        assert cons.serialize_tree(tree) == reference_tree_text(tree), (m1, m2, n)
+
+
+def test_serialize_graph_and_edge_list_match_loop_formatter():
+    for g in (Graph.empty(0), Graph.empty(3)):
+        assert cons.serialize_graph(g) == reference_edge_list(g.n, g.edges) == f"{g.n} 0\n"
+        assert cons.serialize_edge_list(g.n, []) == f"{g.n} 0\n"
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(1, 60)
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.3])
+        assert cons.serialize_graph(g) == reference_edge_list(n, g.edges)
+        # reversed pairs and duplicates, as tuples and as an (m, 2) array
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        pairs += rng.choices(pairs, k=len(pairs) // 3)
+        rng.shuffle(pairs)
+        expected = reference_edge_list(n, pairs)
+        assert cons.serialize_edge_list(n, pairs) == expected
+        as_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        assert cons.serialize_edge_list(n, as_array) == expected
+    assert cons.serialize_edge_list(4, [(3, 1), (1, 3), (2, 0)]) == "4 3\n0 2\n1 3\n1 3\n"
+    g = cons.build_complete_multipartite([3, 4, 5])
+    assert cons.serialize_graph(g) == reference_edge_list(g.n, g.edges)
+
+
+def test_tree_edges_are_plain_int_pairs():
+    for tree in (cons.build_leaf_tree(37), cons.build_connector_tree(3, 5, 12)):
+        edges = tree.edges()
+        assert all(type(u) is int and type(v) is int for u, v in edges)
+        assert edges == [(int(tree.parent[v]), v) for v in range(1, tree.n)]
+
+
 def test_parse_edge_list_comments_and_errors():
     assert cons.parse_edge_list("# note\n3 1\n0 2\n").edges == ((0, 2),)
     with pytest.raises(ValueError, match="empty"):
