@@ -53,7 +53,13 @@ from .constructions import (
     verify_leaf_tree,
 )
 from .errors import CapExceededError, InfeasibleDensityError
-from .random_models import child_seed, estimate_hole_probability, sample_pairing, wilson_interval
+from .random_models import (
+    child_seed,
+    estimate_hole_probability,
+    map_trials,
+    sample_pairing,
+    wilson_interval,
+)
 from .threshold_solver import (
     bipartite_min_density,
     gnp_min_density,
@@ -91,6 +97,16 @@ def fmt(x) -> str:
     if isinstance(x, float):
         return "%.12g" % x
     return str(x)
+
+
+def fmt_count(n: int) -> str:
+    """A count rounded up from a float: exact up to 15 digits, %.12g beyond.
+
+    Past 15 digits the lower digits are the binary expansion of a float,
+    not information, so tables and csv show only the significant ones.
+    """
+    text = str(n)
+    return text if len(text) <= 15 else "%.12g" % n
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -134,7 +150,7 @@ def cmd_bounds(args) -> str:
         return json.dumps(doc, sort_keys=False) + "\n"
     header = ["model", "c", "d", "coefficient", "display_units", "coefficient_loose", "constraint_ok"]
     table = [[str(r["model"]), r["c"], fmt(r["d"]), fmt(r["coefficient"]),
-              str(r["display_units"]), fmt(r["coefficient_loose"]),
+              fmt_count(r["display_units"]), fmt(r["coefficient_loose"]),
               "true" if r["constraint_ok"] else "false"] for r in rows]
     if args.format == "csv":
         lines = [",".join(header)] + [",".join(row) for row in table]
@@ -169,6 +185,7 @@ def cmd_solve(args) -> str:
         }
     if args.format == "json":
         return json.dumps(doc) + "\n"
+    doc["density_ceiling"] = fmt_count(doc["density_ceiling"])
     return "".join(f"{k} {fmt(v)}\n" for k, v in doc.items())
 
 
@@ -183,10 +200,12 @@ def cmd_simulate(args) -> str:
             raise ValueError("pairing model needs --d")
         if args.trials < 1:
             raise ValueError("need at least one trial")
-        attempts = 0
-        for i in range(args.trials):
-            _, att = sample_pairing(args.N, args.d, child_seed(args.seed, i, 0), simple_only=True)
-            attempts += att
+
+        def run_trial(i: int) -> int:
+            seed = child_seed(args.seed, i, 0)
+            return sample_pairing(args.N, args.d, seed, simple_only=True)[1]
+
+        attempts = sum(map_trials(run_trial, args.trials))
         low, high = wilson_interval(args.trials, attempts)
         doc = {
             "model": "pairing",

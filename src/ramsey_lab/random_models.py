@@ -14,12 +14,16 @@ heuristic above it.
 Randomness policy: one generator family (PCG64) behind numpy's Generator,
 and trial i of any experiment draws from the child sequence
 SeedSequence(seed, spawn_key=(i, ...)), so each trial is reproducible on
-its own.
+its own.  That lets ``map_trials`` spread the trials over forked worker
+processes, one per usable CPU, with results identical to a serial loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -417,6 +421,92 @@ def find_hole_heuristic(
 # ── Monte Carlo estimation ───────────────────────────────────────────────────
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _trial_worker(run_trial, first: int, step: int, trials: int, fd: int) -> None:
+    """Forked child: run trials first, first + step, ... and pickle each outcome to fd.
+
+    An outcome is (True, result) or (False, exception, traceback text); the
+    first failure ends the worker, since no later trial of it can matter.
+    """
+    import traceback
+
+    with os.fdopen(fd, "wb") as out:
+        for i in range(first, trials, step):
+            try:
+                outcome = (True, run_trial(i))
+            except Exception as exc:
+                outcome = (False, exc, traceback.format_exc())
+            out.write(pickle.dumps(outcome))
+            out.flush()
+            if not outcome[0]:
+                return
+
+
+def map_trials(run_trial, trials: int) -> list:
+    """``[run_trial(i) for i in range(trials)]`` with the trials in forked workers.
+
+    W = min(trials, usable CPUs) workers are forked; worker w runs the
+    trials i with i % W == w in increasing order and pickles each result
+    back over its own pipe.  The parent reads the results in trial order,
+    so the list, and any output made from it, is the same for every W.  If
+    a trial raises, the exception of the lowest-index failing trial is
+    raised here, as the serial loop would; the workers are then killed.
+    Every worker is reaped before the call returns or raises.
+
+    With W = 1, without ``os.fork``, or while other threads run (forking
+    then is unsafe), the loop runs in this process and nothing is forked.
+    """
+    workers = min(trials, _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [run_trial(i) for i in range(trials)]
+    pids: list[int] = []
+    readers = []
+    done = False
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(r)
+                    _trial_worker(run_trial, w, workers, trials, wfd)
+                finally:
+                    # never return into the caller's stack, flush its buffers or run its atexit
+                    os._exit(0)
+            os.close(wfd)
+            pids.append(pid)
+            readers.append(os.fdopen(r, "rb"))
+        results = []
+        for i in range(trials):
+            try:
+                outcome = pickle.load(readers[i % workers])
+            except EOFError:
+                # the worker died, or could not pickle the outcome
+                raise RuntimeError(f"a trial worker ended without reporting trial {i}") from None
+            if not outcome[0]:
+                exc, text = outcome[1], outcome[2]
+                raise exc from RuntimeError(f"trial {i}, in a worker process:\n{text}")
+            results.append(outcome[1])
+        done = True
+        return results
+    finally:
+        for f in readers:
+            f.close()
+        if not done:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
@@ -483,8 +573,10 @@ def estimate_hole_probability(
     needs p), or "pairing" (needs integer degree d; the search runs on the
     simple support of the multigraph, which has the same holes).  ``mode``
     is "exact", "heuristic", or "auto" (exact whenever the caps allow).
-    Trials run in order; trial i samples its host from child_seed(seed, i, 0)
-    and seeds the heuristic from child_seed(seed, i, 1).
+    Trial i samples its host from child_seed(seed, i, 0) and seeds the
+    heuristic from child_seed(seed, i, 1).  The trials run through
+    ``map_trials``, in forked workers, one per usable CPU; the report is
+    the same as from running them one after another in this process.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -534,7 +626,7 @@ def estimate_hole_probability(
             return find_hole_exact(g, s) is not None
         return find_hole_heuristic(g, s, iters=iters, seed=child_seed(seed, i, 1)) is not None
 
-    holes = sum(run_trial(i) for i in range(trials))
+    holes = sum(map_trials(run_trial, trials))
     ci_low, ci_high = wilson_interval(holes, trials)
     return TrialReport(
         model=model,
@@ -562,6 +654,7 @@ __all__ = [
     "find_hole_heuristic",
     "verify_hole",
     "estimate_hole_probability",
+    "map_trials",
     "wilson_interval",
     "HOLE_EXACT_VERTEX_CAP",
     "HOLE_EXACT_SIZE_CAP",

@@ -354,6 +354,26 @@ def test_bounds_three_triangles_table(capsys):
     assert out.splitlines()[2].split()[:3] == ["regular", "150737781250", "8.06109706662e+12"]
 
 
+def test_huge_counts_print_significant_digits(capsys):
+    """Past 15 digits a count rounded up from a float prints with %.12g; JSON stays exact."""
+    assert cli.fmt_count(10**15 - 1) == "999999999999999"
+    assert cli.fmt_count(10**15) == "1e+15"
+    _, out, _ = run_cli(capsys, "bounds", "--cycles", "3,3,3,3,3,3", "--format", "json")
+    exact = [r["display_units"] for r in json.loads(out)["bounds"]]
+    assert [len(str(u)) for u in exact] == [192, 192]
+    _, out, _ = run_cli(capsys, "bounds", "--cycles", "3,3,3,3,3,3", "--format", "csv")
+    assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["%.12g" % u for u in exact]
+    _, out, _ = run_cli(capsys, "bounds", "--cycles", "3,3,3,3,3,3")
+    assert [line.split()[4] for line in out.splitlines()[1:]] == ["%.12g" % u for u in exact]
+    assert len(out.splitlines()[0]) == 202  # 376 with the 192-digit column
+
+    _, out, _ = run_cli(capsys, "solve", "--model", "regular", "--c", "1e300", "--format", "json")
+    ceiling = json.loads(out)["density_ceiling"]
+    assert len(str(ceiling)) == 304
+    _, out, _ = run_cli(capsys, "solve", "--model", "regular", "--c", "1e300")
+    assert out.splitlines()[-1] == "density_ceiling %.12g" % ceiling
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--model", "regular", "--c", "10", "--grid", "10"],
     ["solve", "--model", "regular", "--c", "10", "--tol", "1e-6"],

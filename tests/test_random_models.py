@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -431,7 +434,32 @@ def test_estimate_validation():
         rm.estimate_hole_probability("gnp", 12, 2, 10, 1, p=0.5, mode="psychic")
 
 
-def test_estimate_deterministic_and_worker_invariant():
+def _record_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to append each child's pid to the returned list."""
+    forked: list[int] = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def test_estimate_deterministic_and_worker_invariant(monkeypatch):
     kw = dict(p=0.4, mode="exact")
     base = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
     again = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
@@ -447,6 +475,74 @@ def test_estimate_deterministic_and_worker_invariant():
         assert rep.holes == expected
     other_seed = rm.estimate_hole_probability("gnp", 20, 3, 24, 8, **kw)
     assert base.holes != other_seed.holes or base.seed != other_seed.seed
+
+    # one worker per usable CPU, each reaped; the report does not depend on their number
+    forked = _record_forks(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
+        forked.clear()
+        rep = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact")
+        assert rep.as_dict() == half.as_dict()
+        assert len(forked) == (cpus if cpus > 1 else 0)
+        _assert_reaped(forked)
+        heur = rm.estimate_hole_probability(
+            "bipartite", 30, 5, 6, 3, p=0.55, mode="heuristic", iters=20
+        )
+        assert heur.holes == sum(
+            rm.find_hole_heuristic(
+                rm.sample_bipartite(30, 30, 0.55, rm.child_seed(3, i, 0)), 5,
+                iters=20, seed=rm.child_seed(3, i, 1),
+            ) is not None
+            for i in range(6)
+        )
+        _assert_reaped(forked)
+
+    # one trial, or another thread running, forks nothing
+    monkeypatch.setattr(os, "fork", _no_fork)
+    one = rm.estimate_hole_probability("gnp", 20, 3, 1, 7, p=0.75, mode="exact")
+    assert one.holes == (rm.find_hole_exact(rm.sample_gnp(20, 0.75, rm.child_seed(7, 0, 0)), 3)
+                         is not None)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        rep = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact")
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert rep.as_dict() == half.as_dict()
+
+
+def test_estimate_trial_errors_match_the_serial_loop(monkeypatch):
+    """The lowest-index failing trial's exception reaches the caller; no worker outlives it.
+
+    Trial 1 fails late, trial 3 fails at once, and trial 2 hangs until killed,
+    so a parent that raised the first failure to arrive, or waited for every
+    worker, would show here.
+    """
+
+    def search(i, s):
+        if i == 1:
+            time.sleep(0.2)
+            raise ValueError("trial 1 failed")
+        if i == 2:
+            time.sleep(60)
+        if i == 3:
+            raise LookupError("trial 3 failed")
+        return None
+
+    monkeypatch.setattr(rm, "sample_gnp", lambda n, p, seed: seed.spawn_key[0])
+    monkeypatch.setattr(rm, "find_hole_exact", search)
+    forked = _record_forks(monkeypatch)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="trial 1 failed"):
+            rm.estimate_hole_probability("gnp", 20, 3, 4, 7, p=0.5, mode="exact")
+        assert time.perf_counter() - t0 < 10
+        _assert_reaped(forked)
+    assert len(forked) == 5
 
 
 def test_estimate_report_schema():
