@@ -53,13 +53,7 @@ from .constructions import (
     verify_leaf_tree,
 )
 from .errors import CapExceededError, InfeasibleDensityError
-from .random_models import (
-    child_seed,
-    estimate_hole_probability,
-    map_trials,
-    sample_pairing,
-    wilson_interval,
-)
+from .random_models import child_seed, estimate_hole_probability, sample_pairing, wilson_interval
 from .threshold_solver import (
     bipartite_min_density,
     gnp_min_density,
@@ -200,12 +194,10 @@ def cmd_simulate(args) -> str:
             raise ValueError("pairing model needs --d")
         if args.trials < 1:
             raise ValueError("need at least one trial")
-
-        def run_trial(i: int) -> int:
-            seed = child_seed(args.seed, i, 0)
-            return sample_pairing(args.N, args.d, seed, simple_only=True)[1]
-
-        attempts = sum(map_trials(run_trial, args.trials))
+        attempts = 0
+        for i in range(args.trials):
+            _, att = sample_pairing(args.N, args.d, child_seed(args.seed, i, 0), simple_only=True)
+            attempts += att
         low, high = wilson_interval(args.trials, attempts)
         doc = {
             "model": "pairing",

@@ -14,8 +14,9 @@ heuristic above it.
 Randomness policy: one generator family (PCG64) behind numpy's Generator,
 and trial i of any experiment draws from the child sequence
 SeedSequence(seed, spawn_key=(i, ...)), so each trial is reproducible on
-its own.  That lets ``map_trials`` spread the trials over forked worker
-processes, one per usable CPU, with results identical to a serial loop.
+its own.  That lets a costly heuristic Monte Carlo spread its trials over
+forked worker processes, one per usable CPU, with results identical to a
+serial loop.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import os
 import pickle
 import threading
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -41,6 +43,13 @@ HOLE_EXACT_VERTEX_CAP = 60
 HOLE_EXACT_SIZE_CAP = 8
 #: most expected rejection attempts a simple pairing draw may need
 PAIRING_ATTEMPTS_CAP = 100_000
+
+#: restarts of trial 0 that a heuristic Monte Carlo times in its own
+#: process before it decides whether to fork trial workers
+_PROBE_RESTARTS = 8
+#: projected serial time (s) from which the trials run in forked workers;
+#: forking, copy-on-write faults and reaping cost 5-40 ms per call
+_FORK_MIN_SECONDS = 0.1
 
 #: z for a central 95% normal interval
 _Z95 = 1.959963984540054
@@ -434,13 +443,13 @@ def _trial_worker(run_trial, first: int, step: int, trials: int, fd: int) -> Non
     An outcome is (True, result) or (False, exception, traceback text); the
     first failure ends the worker, since no later trial of it can matter.
     """
-    import traceback
-
     with os.fdopen(fd, "wb") as out:
         for i in range(first, trials, step):
             try:
                 outcome = (True, run_trial(i))
             except Exception as exc:
+                import traceback
+
                 outcome = (False, exc, traceback.format_exc())
             out.write(pickle.dumps(outcome))
             out.flush()
@@ -448,63 +457,89 @@ def _trial_worker(run_trial, first: int, step: int, trials: int, fd: int) -> Non
                 return
 
 
-def map_trials(run_trial, trials: int) -> list:
-    """``[run_trial(i) for i in range(trials)]`` with the trials in forked workers.
+def _map_trials(run_trial, trials: int) -> list:
+    """``[run_trial(i) for i in range(trials)]`` with the trials spread over forked workers.
 
-    W = min(trials, usable CPUs) workers are forked; worker w runs the
-    trials i with i % W == w in increasing order and pickles each result
-    back over its own pipe.  The parent reads the results in trial order,
-    so the list, and any output made from it, is the same for every W.  If
-    a trial raises, the exception of the lowest-index failing trial is
-    raised here, as the serial loop would; the workers are then killed.
-    Every worker is reaped before the call returns or raises.
+    With W = min(trials, usable CPUs), this process runs the trials i with
+    i % W == 0 and forks W - 1 workers; worker w runs the trials with
+    i % W == w in increasing order and pickles each result back over its
+    own pipe.  After its own share, this process reads the workers' results
+    in trial order, so the list, and any output made from it, is the same
+    for every W.  If a trial raises, the exception of the lowest-index
+    failing trial is raised here, as the serial loop would; the workers are
+    then killed.  Every worker is reaped before the call returns or raises.
 
-    With W = 1, without ``os.fork``, or while other threads run (forking
-    then is unsafe), the loop runs in this process and nothing is forked.
+    The loop runs in this process alone when W is 1, ``os.fork`` is
+    missing, other Python threads run (fork is unsafe then), or the system
+    refuses a pipe or a process (OSError).  Python 3.12 and later also
+    count native threads, such as the BLAS pool numpy may start, and then
+    warn (DeprecationWarning) at each fork.
     """
     workers = min(trials, _usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [run_trial(i) for i in range(trials)]
-    pids: list[int] = []
-    readers = []
-    done = False
-    try:
-        for w in range(workers):
-            r, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                try:
-                    os.close(r)
-                    _trial_worker(run_trial, w, workers, trials, wfd)
-                finally:
-                    # never return into the caller's stack, flush its buffers or run its atexit
-                    os._exit(0)
-            os.close(wfd)
-            pids.append(pid)
-            readers.append(os.fdopen(r, "rb"))
-        results = []
-        for i in range(trials):
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        pids: list[int] = []
+        readers = []
+        complete = False
+        try:
             try:
-                outcome = pickle.load(readers[i % workers])
-            except EOFError:
-                # the worker died, or could not pickle the outcome
-                raise RuntimeError(f"a trial worker ended without reporting trial {i}") from None
-            if not outcome[0]:
-                exc, text = outcome[1], outcome[2]
-                raise exc from RuntimeError(f"trial {i}, in a worker process:\n{text}")
-            results.append(outcome[1])
-        done = True
-        return results
-    finally:
-        for f in readers:
-            f.close()
-        if not done:
-            import signal
+                for w in range(1, workers):
+                    r, wfd = os.pipe()
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(r)
+                        os.close(wfd)
+                        raise
+                    if pid == 0:
+                        try:
+                            os.close(r)
+                            _trial_worker(run_trial, w, workers, trials, wfd)
+                        finally:
+                            # never return into the caller's stack, flush its buffers or run its atexit
+                            os._exit(0)
+                    os.close(wfd)
+                    pids.append(pid)
+                    readers.append(os.fdopen(r, "rb"))
+            except OSError:
+                pass  # out of processes or memory: the loop below runs the trials here
+            else:
+                own = []  # this process's share, up to its first failure
+                for i in range(0, trials, workers):
+                    try:
+                        own.append(run_trial(i))
+                    except Exception as exc:
+                        failure = exc
+                        break
+                results = []
+                for i in range(trials):
+                    w = i % workers
+                    if w == 0:
+                        if i // workers == len(own):
+                            raise failure
+                        results.append(own[i // workers])
+                        continue
+                    try:
+                        outcome = pickle.load(readers[w - 1])
+                    except EOFError:
+                        # the worker died, or could not pickle the outcome
+                        raise RuntimeError(f"a trial worker ended without reporting trial {i}") from None
+                    if not outcome[0]:
+                        exc, text = outcome[1], outcome[2]
+                        raise exc from RuntimeError(f"trial {i}, in a worker process:\n{text}")
+                    results.append(outcome[1])
+                complete = True
+                return results
+        finally:
+            for f in readers:
+                f.close()
+            if not complete:
+                import signal
 
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
             for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
+                os.waitpid(pid, 0)
+    return [run_trial(i) for i in range(trials)]
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -574,9 +609,14 @@ def estimate_hole_probability(
     simple support of the multigraph, which has the same holes).  ``mode``
     is "exact", "heuristic", or "auto" (exact whenever the caps allow).
     Trial i samples its host from child_seed(seed, i, 0) and seeds the
-    heuristic from child_seed(seed, i, 1).  The trials run through
-    ``map_trials``, in forked workers, one per usable CPU; the report is
-    the same as from running them one after another in this process.
+    heuristic from child_seed(seed, i, 1).  Exact trials, and heuristic
+    ones with fewer than 4 * ``_PROBE_RESTARTS`` restarts, run one after
+    another in this process.  Before other heuristic runs, this process
+    times trial 0's host and its first ``_PROBE_RESTARTS`` restarts.  If
+    they find a hole, holes are common and trials cheap, so the trials run
+    here.  Otherwise, if all the trials are projected to take
+    ``_FORK_MIN_SECONDS`` or more, they run in forked workers, one per
+    usable CPU (see ``_map_trials``).  The report is the same either way.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -614,19 +654,40 @@ def estimate_hole_probability(
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
 
-    def run_trial(i: int) -> bool:
+    def host(i: int):
         sample_seed = child_seed(seed, i, 0)
         if model == "gnp":
-            g = sample_gnp(n, p, sample_seed)
-        elif model == "bipartite":
-            g = sample_bipartite(n, n, p, sample_seed)
-        else:
-            g = sample_pairing(n, d, sample_seed).support_graph()
+            return sample_gnp(n, p, sample_seed)
+        if model == "bipartite":
+            return sample_bipartite(n, n, p, sample_seed)
+        return sample_pairing(n, d, sample_seed).support_graph()
+
+    def search(g, i: int, restarts: int) -> bool:
         if mode == "exact":
             return find_hole_exact(g, s) is not None
-        return find_hole_heuristic(g, s, iters=iters, seed=child_seed(seed, i, 1)) is not None
+        return find_hole_heuristic(g, s, iters=restarts, seed=child_seed(seed, i, 1)) is not None
 
-    holes = sum(map_trials(run_trial, trials))
+    probed = {}  # trial 0's host, once the probe below has drawn it
+
+    def run_trial(i: int) -> bool:
+        return search(probed.pop(i) if i in probed else host(i), i, iters)
+
+    # a probe longer than a quarter of a trial's restarts would cost more than it can tell
+    if mode == "exact" or trials == 1 or iters < 4 * _PROBE_RESTARTS:
+        holes = sum(run_trial(i) for i in range(trials))
+    else:
+        t0 = time.perf_counter()
+        g = probed[0] = host(0)
+        t1 = time.perf_counter()
+        if search(g, 0, _PROBE_RESTARTS):
+            # restarts are a prefix of the full run's, which therefore finds a hole too
+            holes = 1 + sum(run_trial(i) for i in range(1, trials))
+        else:
+            restarts_s = (time.perf_counter() - t1) * iters / _PROBE_RESTARTS
+            if trials * (t1 - t0 + restarts_s) >= _FORK_MIN_SECONDS:
+                holes = sum(_map_trials(run_trial, trials))
+            else:
+                holes = sum(run_trial(i) for i in range(trials))
     ci_low, ci_high = wilson_interval(holes, trials)
     return TrialReport(
         model=model,
@@ -654,7 +715,6 @@ __all__ = [
     "find_hole_heuristic",
     "verify_hole",
     "estimate_hole_probability",
-    "map_trials",
     "wilson_interval",
     "HOLE_EXACT_VERTEX_CAP",
     "HOLE_EXACT_SIZE_CAP",

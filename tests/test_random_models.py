@@ -459,6 +459,22 @@ def _no_fork():
     raise AssertionError("forked")
 
 
+def _host(model: str, n: int, p: float, seed: int, i: int):
+    sample_seed = rm.child_seed(seed, i, 0)
+    if model == "gnp":
+        return rm.sample_gnp(n, p, sample_seed)
+    return rm.sample_bipartite(n, n, p, sample_seed)
+
+
+def _serial_heuristic_holes(model, n, s, trials, seed, p, iters) -> int:
+    """Test-local oracle: heuristic Monte Carlo trials one after another."""
+    return sum(
+        rm.find_hole_heuristic(_host(model, n, p, seed, i), s, iters=iters,
+                               seed=rm.child_seed(seed, i, 1)) is not None
+        for i in range(trials)
+    )
+
+
 def test_estimate_deterministic_and_worker_invariant(monkeypatch):
     kw = dict(p=0.4, mode="exact")
     base = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
@@ -476,73 +492,127 @@ def test_estimate_deterministic_and_worker_invariant(monkeypatch):
     other_seed = rm.estimate_hole_probability("gnp", 20, 3, 24, 8, **kw)
     assert base.holes != other_seed.holes or base.seed != other_seed.seed
 
-    # one worker per usable CPU, each reaped; the report does not depend on their number
+    # Heuristic trials whose probe finds no hole run in this process and in
+    # one forked worker per further usable CPU (the zero threshold forks
+    # whatever the projected time), each worker is reaped, and the report
+    # does not depend on their number.  Trial 0's first 8 restarts find no
+    # hole but its 40 do, so the full trial runs after the probe.
+    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", 0.0)
     forked = _record_forks(monkeypatch)
+    heur = dict(p=0.55, mode="heuristic", iters=40)
+    assert rm.find_hole_heuristic(_host("bipartite", 24, 0.55, 3, 0), 5, iters=8,
+                                  seed=rm.child_seed(3, 0, 1)) is None
+    assert _serial_heuristic_holes("bipartite", 24, 5, 6, 3, 0.55, 40) == 3
+    reports = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
         forked.clear()
-        rep = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact")
-        assert rep.as_dict() == half.as_dict()
-        assert len(forked) == (cpus if cpus > 1 else 0)
+        rep = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur)
+        assert rep.holes == 3
+        assert len(forked) == cpus - 1
         _assert_reaped(forked)
-        heur = rm.estimate_hole_probability(
-            "bipartite", 30, 5, 6, 3, p=0.55, mode="heuristic", iters=20
-        )
-        assert heur.holes == sum(
-            rm.find_hole_heuristic(
-                rm.sample_bipartite(30, 30, 0.55, rm.child_seed(3, i, 0)), 5,
-                iters=20, seed=rm.child_seed(3, i, 1),
-            ) is not None
-            for i in range(6)
-        )
-        _assert_reaped(forked)
+        reports.append(rep.as_dict())
+    assert reports[0] == reports[1] == reports[2]
 
-    # one trial, or another thread running, forks nothing
+    # a refused pipe or process, at the first fork or a later one, runs the
+    # trials here; a worker already forked is killed and reaped
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
+    fork = os.fork
+    for refuse_at in (0, 1):
+        calls = []
+
+        def refusing_fork():
+            if len(calls) == refuse_at:
+                raise OSError(11, "Resource temporarily unavailable")
+            pid = fork()
+            if pid:
+                calls.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        rep = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur)
+        assert rep.as_dict() == reports[0]
+        assert len(calls) == refuse_at
+        _assert_reaped(calls)
+
+    # Nothing forks for exact trials, fewer than 32 restarts, one trial, a
+    # projection under the threshold, a probe that finds a hole (the full
+    # run of trial 0 then finds one too), or another thread running.
     monkeypatch.setattr(os, "fork", _no_fork)
-    one = rm.estimate_hole_probability("gnp", 20, 3, 1, 7, p=0.75, mode="exact")
-    assert one.holes == (rm.find_hole_exact(rm.sample_gnp(20, 0.75, rm.child_seed(7, 0, 0)), 3)
-                         is not None)
+    assert rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact") == half
+    short = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, p=0.55, mode="heuristic",
+                                         iters=31)
+    assert short.holes == _serial_heuristic_holes("bipartite", 24, 5, 6, 3, 0.55, 31)
+    one = rm.estimate_hole_probability("bipartite", 24, 5, 1, 3, **heur)
+    assert one.holes == 1
+    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", math.inf)
+    assert rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur).as_dict() == reports[0]
+    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", 0.0)
+    assert rm.find_hole_heuristic(_host("gnp", 40, 0.6, 3, 0), 5, iters=8,
+                                  seed=rm.child_seed(3, 0, 1)) is not None
+    found = rm.estimate_hole_probability("gnp", 40, 5, 6, 3, p=0.6, mode="heuristic", iters=40)
+    assert found.holes == _serial_heuristic_holes("gnp", 40, 5, 6, 3, 0.6, 40) == 4
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
     other.start()
     try:
-        rep = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact")
+        rep = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur)
     finally:
         release.set()
         other.join(10)
     assert not other.is_alive()
-    assert rep.as_dict() == half.as_dict()
+    assert rep.as_dict() == reports[0]
 
 
 def test_estimate_trial_errors_match_the_serial_loop(monkeypatch):
     """The lowest-index failing trial's exception reaches the caller; no worker outlives it.
 
-    Trial 1 fails late, trial 3 fails at once, and trial 2 hangs until killed,
-    so a parent that raised the first failure to arrive, or waited for every
-    worker, would show here.
+    Trial 1 fails late, trial 3 fails at once, and trial 2 hangs in a worker
+    until killed, so a caller that raised the first failure to arrive, or
+    waited for every worker, would show here.
     """
+    caller = os.getpid()
 
-    def search(i, s):
+    def search(i, s, iters, seed):
+        if iters == rm._PROBE_RESTARTS:
+            return None  # trial 0's probe: no hole, so the trials may fork
         if i == 1:
             time.sleep(0.2)
             raise ValueError("trial 1 failed")
-        if i == 2:
+        if i == 2 and os.getpid() != caller:
             time.sleep(60)
         if i == 3:
             raise LookupError("trial 3 failed")
         return None
 
     monkeypatch.setattr(rm, "sample_gnp", lambda n, p, seed: seed.spawn_key[0])
-    monkeypatch.setattr(rm, "find_hole_exact", search)
+    monkeypatch.setattr(rm, "find_hole_heuristic", search)
+    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", 0.0)
     forked = _record_forks(monkeypatch)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="trial 1 failed"):
-            rm.estimate_hole_probability("gnp", 20, 3, 4, 7, p=0.5, mode="exact")
+            rm.estimate_hole_probability("gnp", 20, 3, 4, 7, p=0.5, mode="heuristic", iters=40)
         assert time.perf_counter() - t0 < 10
         _assert_reaped(forked)
-    assert len(forked) == 5
+    assert len(forked) == 3
+
+    # a failure in this process's own share (trials 0 and 2 of 2 CPUs) is
+    # raised in its turn, before a worker's later one
+    def search_own(i, s, iters, seed):
+        if i == 2 and iters != rm._PROBE_RESTARTS:
+            raise ArithmeticError("trial 2 failed")
+        if i == 3:
+            raise LookupError("trial 3 failed")
+        return None
+
+    monkeypatch.setattr(rm, "find_hole_heuristic", search_own)
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    with pytest.raises(ArithmeticError, match="trial 2 failed"):
+        rm.estimate_hole_probability("gnp", 20, 3, 4, 7, p=0.5, mode="heuristic", iters=40)
+    assert len(forked) == 4
+    _assert_reaped(forked)
 
 
 def test_estimate_report_schema():
