@@ -24,7 +24,11 @@ from typing import Optional, Union
 from .constructions import Graph, _bits
 from .errors import CapExceededError
 
+#: most host edges the search colours: one through-edge test on a bigger
+#: host can take seconds (K14 -> (C14, C14): up to 1.8 s each)
 ARROW_EDGE_CAP = 21
+#: most colourings the search examines before it gives up
+ARROW_COLORINGS_CAP = 10**6
 TARGET_VERTEX_CAP = 20
 
 
@@ -146,10 +150,7 @@ def has_biclique(
     if respect_bipartition:
         if graph.side is None:
             raise ValueError("respect_bipartition needs a 2-class labelled host")
-        v0, v1 = graph.side_vertices(0), graph.side_vertices(1)
-        mask1 = 0
-        for v in v1:
-            mask1 |= 1 << v
+        v0, mask1 = graph.side_vertices(0), graph.side_mask(1)
         # both orientations of an asymmetric biclique across the classes count
         if _biclique_fixed_pools(adj, v0, mask1, m1, m2):
             return True
@@ -317,8 +318,7 @@ def _through_edge_test(target: Target, host: Graph, respect_bipartition: bool):
     if side is None:
         pool_a = pool_b = (1 << host.n) - 1
     else:
-        pool_a = sum(1 << x for x in host.side_vertices(0))
-        pool_b = sum(1 << x for x in host.side_vertices(1))
+        pool_a, pool_b = host.side_mask(0), host.side_mask(1)
 
     def biclique(adj: list[int], u: int, v: int) -> bool:
         if side is not None:
@@ -337,14 +337,21 @@ def _through_edge_test(target: Target, host: Graph, respect_bipartition: bool):
 def _search(
     host: Graph,
     targets: tuple[Target, ...],
-    edge_cap: int,
     respect_bipartition: bool,
 ) -> ArrowResult:
+    """Decide the arrow relation, or raise CapExceededError past ARROW_COLORINGS_CAP colourings.
+
+    The cap is checked when a node has tried all its colours, not at every
+    colouring, and once more when the search ends, so the search raises
+    exactly when its count of colourings examined would pass the cap.
+    """
+    if not targets:
+        raise ValueError("need at least one target")
     k = len(targets)
     m = host.edge_count
-    if m > edge_cap:
+    if m > ARROW_EDGE_CAP:
         raise CapExceededError(
-            f"arrow search capped at {edge_cap} edges, host has {m}"
+            f"arrow search capped at {ARROW_EDGE_CAP} edges, host has {m}"
         )
     if m and host.n > TARGET_VERTEX_CAP:
         raise CapExceededError(
@@ -387,9 +394,13 @@ def _search(
             adj[u] ^= bv
             adj[v] ^= bu
             colors[i] = 0
+        if assignments > ARROW_COLORINGS_CAP:
+            raise CapExceededError(f"arrow search capped at {ARROW_COLORINGS_CAP} colourings")
         return None
 
     good = dfs(0)
+    if assignments > ARROW_COLORINGS_CAP:
+        raise CapExceededError(f"arrow search capped at {ARROW_COLORINGS_CAP} colourings")
     if good is None:
         return ArrowResult(True, None, assignments)
     # map colors back to the host's canonical edge order
@@ -405,25 +416,19 @@ def _search(
 def arrows(
     host: Graph,
     targets: tuple[Target, ...],
-    edge_cap: int = ARROW_EDGE_CAP,
 ) -> ArrowResult:
     """Decide host -> (targets) by exhaustive pruned coloring search."""
-    if not targets:
-        raise ValueError("need at least one target")
-    return _search(host, tuple(targets), edge_cap, respect_bipartition=False)
+    return _search(host, tuple(targets), respect_bipartition=False)
 
 
 def bipartite_arrows(
     host: Graph,
     targets: tuple[Target, ...],
-    edge_cap: int = ARROW_EDGE_CAP,
 ) -> ArrowResult:
     """Arrow semantics on a 2-class host; biclique targets respect the classes."""
     if host.side is None:
         raise ValueError("bipartite arrow check needs a 2-class labelled host")
-    if not targets:
-        raise ValueError("need at least one target")
-    return _search(host, tuple(targets), edge_cap, respect_bipartition=True)
+    return _search(host, tuple(targets), respect_bipartition=True)
 
 
 __all__ = [
@@ -440,5 +445,6 @@ __all__ = [
     "bipartite_arrows",
     "verify_coloring_avoids_targets",
     "ARROW_EDGE_CAP",
+    "ARROW_COLORINGS_CAP",
     "TARGET_VERTEX_CAP",
 ]

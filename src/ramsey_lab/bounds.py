@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import threshold_solver
+from .constructions import ceil_log2
 
 Rational = Union[int, Fraction]
 
@@ -132,11 +133,6 @@ def format_rational(x: Rational) -> str:
 # ── the linear-form recursion ────────────────────────────────────────────────
 
 
-def base_linear_form() -> LinearForm:
-    """Level-1 form: 33*m1 + 49*m2."""
-    return LinearForm(33, 49, 0)
-
-
 def _check_level(t: int, minimum: int = 1) -> None:
     if not isinstance(t, int) or t < minimum:
         raise ValueError(f"level t must be an integer >= {minimum}, got {t!r}")
@@ -149,7 +145,7 @@ def _check_level(t: int, minimum: int = 1) -> None:
 def ramsey_linear_form(t: int) -> LinearForm:
     """Coefficients (a_t, b_t, c_t) of the level-t linear form.
 
-    Quadratic recursion from level t-1:
+    Level 1 is the base form 33*m1 + 49*m2; quadratic recursion from level t-1:
 
         a_t = 32*a**2 + a*b + 32*b
         b_t = 49*a**2 + a*b + 49*b
@@ -219,31 +215,13 @@ def multicycle_host_size(spec: CycleSpec, m: int) -> Fraction:
 # ── length constraints ───────────────────────────────────────────────────────
 
 
-def ceil_log2_fraction(x: Rational) -> int:
-    """Smallest integer k with 2**k >= x, computed exactly for rationals."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("ceil_log2 requires a positive argument")
-    p, q = x.numerator, x.denominator
-
-    def holds(k: int) -> bool:
-        return p <= (q << k) if k >= 0 else (p << -k) <= q
-
-    k = p.bit_length() - q.bit_length()
-    while holds(k - 1):
-        k -= 1
-    while not holds(k):
-        k += 1
-    return k
-
-
 def validate_length_constraints(spec: CycleSpec, host_size: Rational) -> list[bool]:
     """Per-cycle flags for ``n_i >= 2*ceil(log2(host_size)) + 2``.
 
     The cutoff is reported, not enforced: short cycles simply come back
     flagged False so callers can surface the violation.
     """
-    cutoff = 2 * ceil_log2_fraction(host_size) + 2
+    cutoff = 2 * ceil_log2(host_size) + 2
     return [n >= cutoff for n in spec.lengths]
 
 
@@ -363,12 +341,10 @@ __all__ = [
     "CycleSpec",
     "LinearForm",
     "BoundReport",
-    "base_linear_form",
     "ramsey_linear_form",
     "eval_ramsey_form",
     "closed_form_envelope",
     "multicycle_host_size",
-    "ceil_log2_fraction",
     "validate_length_constraints",
     "host_constant",
     "size_ramsey_gnp",

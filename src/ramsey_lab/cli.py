@@ -32,7 +32,6 @@ from . import __version__
 from .bounds import (
     BoundReport,
     CycleSpec,
-    base_linear_form,
     format_rational,
     host_constant,
     ramsey_linear_form,
@@ -103,6 +102,12 @@ def fmt_count(n: int) -> str:
     return text if len(text) <= 15 else "%.12g" % n
 
 
+def _aligned(table: list[list[str]]) -> list[str]:
+    """Each row's cells padded to their column's widest, two spaces apart, trailing blanks cut."""
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -143,16 +148,10 @@ def cmd_bounds(args) -> str:
         doc = {"cycles": list(spec.lengths), "bounds": rows}
         return json.dumps(doc, sort_keys=False) + "\n"
     header = ["model", "c", "d", "coefficient", "display_units", "coefficient_loose", "constraint_ok"]
-    table = [[str(r["model"]), r["c"], fmt(r["d"]), fmt(r["coefficient"]),
-              fmt_count(r["display_units"]), fmt(r["coefficient_loose"]),
-              "true" if r["constraint_ok"] else "false"] for r in rows]
-    if args.format == "csv":
-        lines = [",".join(header)] + [",".join(row) for row in table]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(h), *(len(row[i]) for row in table)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in table:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    table = [header] + [[str(r["model"]), r["c"], fmt(r["d"]), fmt(r["coefficient"]),
+                         fmt_count(r["display_units"]), fmt(r["coefficient_loose"]),
+                         "true" if r["constraint_ok"] else "false"] for r in rows]
+    lines = [",".join(row) for row in table] if args.format == "csv" else _aligned(table)
     return "\n".join(lines) + "\n"
 
 
@@ -295,7 +294,7 @@ def cmd_arrow(args) -> str:
     host = _host_from_token(args.host)
     targets = parse_targets(args.targets)
     checker = bipartite_arrows if args.bipartite else arrows
-    result = checker(host, targets, edge_cap=args.edge_cap)
+    result = checker(host, targets)
     doc = result.as_dict()
     doc["host"] = args.host
     doc["targets"] = [str(t) for t in targets]
@@ -323,49 +322,24 @@ def _coefficient_row(name: str, computed: float, reference_units: int) -> dict:
 def reproduce_rows() -> list[dict]:
     """Recompute every headline constant from scratch and compare."""
     ref = REFERENCE_VALUES
-    rows: list[dict] = []
-
-    base = base_linear_form().as_tuple()
-    rows.append({
-        "name": "linear-form-base",
-        "computed": str(base),
-        "reference": str(ref["linear_form_base"]),
-        "pass": base == ref["linear_form_base"],
-    })
-    step2 = ramsey_linear_form(2).as_tuple()
-    rows.append({
-        "name": "linear-form-step2",
-        "computed": str(step2),
-        "reference": str(ref["linear_form_step2"]),
-        "pass": step2 == ref["linear_form_step2"],
-    })
-
     two_odd = CycleSpec.of(5, 5)
     two_even = CycleSpec.of(6, 6)
-    c_odd, c_even = host_constant(two_odd), host_constant(two_even)
-    rows.append({
-        "name": "host-constant-two-odd",
-        "computed": format_rational(c_odd),
-        "reference": format_rational(ref["host_constant_two_odd"]),
-        "pass": c_odd == ref["host_constant_two_odd"],
-    })
-    rows.append({
-        "name": "host-constant-two-even",
-        "computed": format_rational(c_even),
-        "reference": format_rational(ref["host_constant_two_even"]),
-        "pass": c_even == ref["host_constant_two_even"],
-    })
-
-    rows.append(_coefficient_row(
-        "gnp-coefficient-two-odd",
-        size_ramsey_gnp(two_odd).coefficient_loose,
-        ref["gnp_two_odd_units"],
-    ))
-    rows.append(_coefficient_row(
-        "gnp-coefficient-two-even",
-        size_ramsey_gnp(two_even).coefficient_loose,
-        ref["gnp_two_even_units"],
-    ))
+    rows = [
+        {"name": key.replace("_", "-"), "computed": fmt(value), "reference": fmt(ref[key]),
+         "pass": value == ref[key]}
+        for key, value in (
+            ("linear_form_base", ramsey_linear_form(1).as_tuple()),
+            ("linear_form_step2", ramsey_linear_form(2).as_tuple()),
+            ("host_constant_two_odd", host_constant(two_odd)),
+            ("host_constant_two_even", host_constant(two_even)),
+        )
+    ]
+    for spec, parity in ((two_odd, "odd"), (two_even, "even")):
+        rows.append(_coefficient_row(
+            f"gnp-coefficient-two-{parity}",
+            size_ramsey_gnp(spec).coefficient_loose,
+            ref[f"gnp_two_{parity}_units"],
+        ))
 
     for spec, parity in ((two_odd, "odd"), (two_even, "even")):
         c = host_constant(spec)
@@ -396,20 +370,8 @@ def cmd_reproduce(args) -> str:
     if args.json:
         doc = {"rows": rows, "all_pass": all(r["pass"] for r in rows)}
         return json.dumps(doc) + "\n"
-    name_w = max(len(r["name"]) for r in rows)
-    comp_w = max(len(str(r["computed"])) for r in rows)
-    ref_w = max(len(str(r["reference"])) for r in rows)
-    lines = []
-    for r in rows:
-        lines.append(
-            "%s  %s  %s  %s"
-            % (
-                r["name"].ljust(name_w),
-                str(r["computed"]).ljust(comp_w),
-                str(r["reference"]).ljust(ref_w),
-                "PASS" if r["pass"] else "FAIL",
-            )
-        )
+    lines = _aligned([[r["name"], str(r["computed"]), str(r["reference"]),
+                       "PASS" if r["pass"] else "FAIL"] for r in rows])
     lines.append("all checks: %s" % ("PASS" if all(r["pass"] for r in rows) else "FAIL"))
     return "\n".join(lines) + "\n"
 
@@ -462,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True, help="K6, K3x3, C8, M2x2x1, or @edges.txt")
     p.add_argument("--targets", required=True, help="comma list like C3,C3 or K2x2,C4")
     p.add_argument("--bipartite", action="store_true", help="respect the host 2-classing")
-    p.add_argument("--edge-cap", type=int, default=21)
     p.add_argument("--witness-out", help="write any good-coloring witness to this file")
     p.set_defaults(handler=cmd_arrow)
 

@@ -18,6 +18,7 @@ arguments ask for against ``BUILD_SIZE_CAP`` before it allocates.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -26,7 +27,8 @@ import numpy as np
 
 from .errors import CapExceededError
 
-#: most vertices (trees) or vertices plus edges (multipartite hosts) a builder allocates
+#: most vertices (trees) or vertices plus edges (multipartite hosts) a builder
+#: allocates, and most vertex pairs or pairing points a random sampler draws
 BUILD_SIZE_CAP = 10**6
 
 
@@ -35,11 +37,14 @@ def _check_size(what: str, size: int) -> None:
         raise CapExceededError(f"{what}: {size} is over the build cap of {BUILD_SIZE_CAP}")
 
 
-def ceil_log2(n: int) -> int:
-    """Smallest k with 2**k >= n, for positive integers (ceil_log2(1) = 0)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"ceil_log2 needs a positive integer, got {n!r}")
-    return (n - 1).bit_length()
+def ceil_log2(x: int | Fraction) -> int:
+    """Smallest integer k with 2**k >= x, exact for positive ints and Fractions."""
+    if not isinstance(x, (int, Fraction)) or x <= 0:
+        raise ValueError(f"ceil_log2 needs a positive int or Fraction, got {x!r}")
+    p, q = x.numerator, x.denominator
+    if p > q:
+        return (-(-p // q) - 1).bit_length()  # 2**k >= x iff 2**k >= ceil(x), for k >= 0
+    return 1 - (q // p).bit_length()  # 2**-k <= 1/x iff 2**-k <= floor(1/x), for k <= 0
 
 
 def binary_decomposition(n: int) -> list[int]:
@@ -60,7 +65,7 @@ class Graph:
     uses it, everything else ignores it.
     """
 
-    __slots__ = ("n", "edges", "side", "_edge_set", "_adj")
+    __slots__ = ("n", "edges", "side", "_adj")
 
     def __init__(
         self,
@@ -84,7 +89,6 @@ class Graph:
             if len(side) != n or any(s not in (0, 1) for s in side):
                 raise ValueError("side must assign 0 or 1 to every vertex")
         self.side = side
-        self._edge_set = frozenset(self.edges)
         self._adj: Optional[list[int]] = None
 
     # -- basic queries ------------------------------------------------------
@@ -94,7 +98,7 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency_bitsets()[u] >> v & 1)
 
     def adjacency_bitsets(self) -> list[int]:
         """Per-vertex neighbourhoods as int bitmasks (cached)."""
@@ -119,6 +123,10 @@ class Graph:
         if self.side is None:
             raise ValueError("graph carries no 2-class labelling")
         return [v for v in range(self.n) if self.side[v] == s]
+
+    def side_mask(self, s: int) -> int:
+        """The vertices of class s as an int bitmask."""
+        return sum(1 << v for v in self.side_vertices(s))
 
     def __eq__(self, other) -> bool:
         return (

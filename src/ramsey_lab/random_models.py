@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .bounds import format_rational
 from .errors import CapExceededError
-from .constructions import Graph, _bits
+from .constructions import Graph, _bits, _check_size
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -123,6 +123,7 @@ def sample_gnp(n: int, p: float, seed: SeedLike) -> Graph:
     if n < 1:
         raise ValueError("need at least one vertex")
     p = _check_probability(p)
+    _check_size("gnp vertex pairs", n * (n - 1) // 2)
     rng = _rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
@@ -134,6 +135,7 @@ def sample_bipartite(n1: int, n2: int, p: float, seed: SeedLike) -> Graph:
     if n1 < 1 or n2 < 1:
         raise ValueError("both classes need at least one vertex")
     p = _check_probability(p)
+    _check_size("bipartite vertex pairs", n1 * n2)
     rng = _rng(seed)
     mask = rng.random(n1 * n2) < p
     us, vs = np.divmod(np.flatnonzero(mask), n2)
@@ -181,6 +183,7 @@ def sample_pairing(
         raise ValueError("need n >= 1 and d >= 1")
     if (n * d) % 2:
         raise ValueError(f"n*d = {n * d} is odd: no perfect matching of the points")
+    _check_size("pairing points", n * d)
     if simple_only and d >= n:
         raise ValueError(
             f"no simple {d}-regular graph on {n} vertices exists; rejection "
@@ -275,9 +278,7 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
 
     if graph.side is not None:
         left_vertices = graph.side_vertices(0)
-        pool0 = 0
-        for v in graph.side_vertices(1):
-            pool0 |= 1 << v
+        pool0 = graph.side_mask(1)
     else:
         left_vertices = list(range(n))
         pool0 = (1 << n) - 1
@@ -362,8 +363,7 @@ def find_hole_heuristic(
     drop_nbrs = [~(a | 1 << v) for v, a in enumerate(adj)]
 
     if graph.side is not None:
-        base_left = sum(1 << v for v in graph.side_vertices(0))
-        base_right = sum(1 << v for v in graph.side_vertices(1))
+        base_left, base_right = graph.side_mask(0), graph.side_mask(1)
         if base_left.bit_count() < s or base_right.bit_count() < s:
             return None
     else:

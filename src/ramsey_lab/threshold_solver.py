@@ -72,6 +72,15 @@ def _binary64(x: Rational, what: str) -> float:
         ) from None
 
 
+def _regular_c(c: Rational) -> tuple[Fraction, float]:
+    """(c, float(c)) for a regular-model constant, or ValueError unless 3 < c < 1.8e308."""
+    c = Fraction(c)
+    cf = _binary64(c, "regular model c")
+    if c <= 3:
+        raise ValueError(f"regular model needs c > 3, got {cf:.6g}")
+    return c, cf
+
+
 def _check_rho_squared(r: float, model: str) -> None:
     # the thresholds divide by rho**2, which must not underflow
     if r * r < sys.float_info.min:
@@ -263,10 +272,7 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
     ValueError if c <= 3, if c or d_min lies beyond the binary64 range, or
     if the enclosure of the exponent at d_min does not lie at or below 0.
     """
-    c = Fraction(c)
-    cf = _binary64(c, "regular model c")
-    if c <= 3:
-        raise ValueError(f"regular model needs c > 3, got {cf:.6g}")
+    c, cf = _regular_c(c)
     with _enclosure(c) as (a, k0, k1):
         if not k1.b < 0:
             raise InfeasibleDensityError(
@@ -292,11 +298,8 @@ def check_density_certificate(c: Rational, d: Rational) -> CertificateCheck:
     The maximum is k0 + k1(a*)*d; the check passes iff the upper end of
     its interval enclosure is <= 0, so a passing check is rigorous.
     """
-    c = Fraction(c)
+    c, _ = _regular_c(c)
     d = Fraction(d)
-    cf = _binary64(c, "regular model c")
-    if c <= 3:
-        raise ValueError(f"regular model needs c > 3, got {cf:.6g}")
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
     with _enclosure(c) as (a, k0, k1):

@@ -217,11 +217,38 @@ def test_arrows_trivia():
     assert r.arrows and r.colorings_examined == 1
 
 
-def test_arrows_caps_and_validation():
+def test_arrows_caps_and_validation(monkeypatch):
     with pytest.raises(CapExceededError):
         ac.arrows(Graph.complete(8), (CycleTarget(3), CycleTarget(3)))
-    with pytest.raises(CapExceededError):
-        ac.arrows(Graph.complete(5), (CycleTarget(3),), edge_cap=9)
+    # the colourings cap: a search raises exactly when its count would pass it
+    arrowing = (Graph.complete(6), (CycleTarget(4), CycleTarget(4)))  # 2083 colourings
+    good = (Graph.complete(7), (CycleTarget(5), CycleTarget(5)))  # witness after 134
+    for (host, targets), count in ((arrowing, 2083), (good, 134)):
+        monkeypatch.setattr(ac, "ARROW_COLORINGS_CAP", count)
+        assert ac.arrows(host, targets).colorings_examined == count
+        monkeypatch.setattr(ac, "ARROW_COLORINGS_CAP", count - 1)
+        with pytest.raises(CapExceededError, match="colourings"):
+            ac.arrows(host, targets)
+    monkeypatch.setattr(ac, "ARROW_COLORINGS_CAP", 50)
+    with pytest.raises(CapExceededError, match="colourings"):
+        ac.bipartite_arrows(Graph.complete_bipartite(4, 4), (BicliqueTarget(2, 2),) * 2)
+    # it stops near the cap, not after the whole search: one test per colouring
+    tests_run = []
+    through_edge_test = ac._through_edge_test
+
+    def counting_test(*args):
+        test = through_edge_test(*args)
+
+        def counted(adj, u, v):
+            tests_run.append(1)
+            return test(adj, u, v)
+
+        return counted
+
+    monkeypatch.setattr(ac, "_through_edge_test", counting_test)
+    with pytest.raises(CapExceededError, match="colourings"):
+        ac.arrows(*arrowing)
+    assert 50 < len(tests_run) <= 50 + 15 * 2  # at most one node of colours past it per level
     with pytest.raises(ValueError):
         ac.arrows(Graph.complete(5), ())
     with pytest.raises(ValueError):

@@ -9,8 +9,6 @@ import random
 from ramsey_lab.bounds import (
     CycleSpec,
     LinearForm,
-    base_linear_form,
-    ceil_log2_fraction,
     closed_form_envelope,
     eval_ramsey_form,
     format_rational,
@@ -22,14 +20,15 @@ from ramsey_lab.bounds import (
     size_ramsey_regular,
     validate_length_constraints,
 )
+from ramsey_lab.constructions import ceil_log2
 
 
 # ── the linear-form recursion ────────────────────────────────────────────────
 
 
 def test_base_form():
-    assert base_linear_form().as_tuple() == (33, 49, 0)
-    assert base_linear_form().evaluate(2, 1) == 115
+    assert ramsey_linear_form(1).as_tuple() == (33, 49, 0)
+    assert ramsey_linear_form(1).evaluate(2, 1) == 115
 
 
 def test_step2_coefficients_frozen():
@@ -123,7 +122,7 @@ def test_ceil_log2_fraction_exact():
         (Fraction(3, 2), 1),
     ]
     for x, want in cases:
-        k = ceil_log2_fraction(x)
+        k = ceil_log2(x)
         assert k == want
         assert Fraction(2) ** k >= x
         if x > 0:
@@ -134,7 +133,7 @@ def test_ceil_log2_fraction_matches_bit_length_on_integers():
     rng = random.Random(3)
     for _ in range(200):
         n = rng.randint(1, 10**12)
-        assert ceil_log2_fraction(Fraction(n)) == (n - 1).bit_length()
+        assert ceil_log2(Fraction(n)) == (n - 1).bit_length()
 
 
 def test_length_constraint_flags():

@@ -160,6 +160,29 @@ def test_construct_stdout_bytes_frozen(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (("reproduce",),
+     "38b35a47d559b89e4281ecc60ae19ff6567b0883f5dc961b7da28bf22a9673ea"),
+    (("reproduce", "--json"),
+     "4c033b58680f33880059fd102cf5d137225da7e3cce6272b88b5d578fad7666e"),
+    (("bounds", "--cycles", "5,5"),
+     "47225413319d87a2d8d14fe0e9dc45add6ff75f99750e5bdea66228c0bfe584c"),
+    (("bounds", "--cycles", "5,5", "--format", "csv"),
+     "5710ab1ab7fa7dfa4e5e43a3495abb4477bc9b667217896a2208650bce132204"),
+    (("bounds", "--cycles", "5,5", "--format", "json"),
+     "87ea65b3d3909ca9120905e3f9f36d404fbd978cbf56a5eb4025e2545d7ad053"),
+    (("bounds", "--cycles", "4,4,4"),
+     "685fff3d42d835d62ca8bd8ce9cc6b8db1a155a909ea28cd6223ebc0779b8cca"),
+    (("solve", "--model", "regular", "--c", "95412"),
+     "aea202fe203a58f7478048c98b1f34d18a869e9cff32d7c23705a40fb35d58a2"),
+], ids=["reproduce", "reproduce-json", "bounds-table", "bounds-csv", "bounds-json",
+        "bounds-three-even", "solve-regular"])
+def test_report_stdout_bytes_frozen(capsys, argv, sha256):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_construct_requires_exactly_one(capsys):
     rc, _, err = run_cli(capsys, "construct")
     assert rc == 2 and "exactly one" in err
@@ -258,6 +281,12 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
     ("arrow", "--host", "K100000", "--targets", "C3,C3"),
     ("arrow", "--host", "M100000x100000", "--targets", "C3,C3"),
     ("arrow", "--host", "K0x99999999999", "--targets", "C3,C3"),  # edgeless, over the build cap
+    ("simulate", "--model", "gnp", "--N", "1000000", "--s", "3", "--p", "0.5", "--seed", "1",
+     "--trials", "1"),
+    ("simulate", "--model", "bipartite", "--N", "1000000", "--s", "3", "--p", "0.5", "--seed", "1",
+     "--trials", "1"),
+    ("simulate", "--model", "pairing", "--N", "1000000", "--s", "3", "--d", "3", "--seed", "1",
+     "--trials", "1"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_oversized_input_is_refused_before_allocation(capsys, argv):
     t0 = time.perf_counter()
@@ -265,6 +294,15 @@ def test_oversized_input_is_refused_before_allocation(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert rc == 3 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_arrow_search_ends_at_the_colourings_cap(capsys):
+    """18 colours on 19 edges: a pigeonhole proof the search cannot shortcut."""
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "arrow", "--host", "K1x19", "--targets", ",".join(["K1x2"] * 18))
+    assert time.perf_counter() - t0 < 10.0
+    assert rc == 3 and out == ""
+    assert err == "error: arrow search capped at 1000000 colourings\n"
 
 
 def test_arrow_edgeless_host_over_vertex_cap_is_searched(capsys):
@@ -640,7 +678,6 @@ _ARROW = _argv(
     _opt("host", _HOST),
     _opt("targets", _mostly(_joined(_TARGET, 1, 3), _joined(_TARGET, 0, 4))),
     _flag("bipartite"),
-    _rarely("edge-cap", _ints(0, 21)),
 )
 _REPRODUCE = _argv("reproduce", _flag("json"))
 _ANY_ARGV = st.one_of(

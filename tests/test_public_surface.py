@@ -38,3 +38,18 @@ def test_every_traced_function_resolves():
     for mod_name, fn_name, _, _ in spans.TRACED:
         mod = importlib.import_module(f"ramsey_lab.{mod_name}")
         assert callable(getattr(mod, fn_name, None)), (mod_name, fn_name)
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_no_public_function_takes_a_cap(name):
+    """Caps are module constants, never keywords a caller could lift."""
+    mod = importlib.import_module(f"ramsey_lab.{name}")
+    for export in mod.__all__:
+        obj = getattr(mod, export)
+        if inspect.isclass(obj):
+            functions = [f for f in vars(obj).values() if inspect.isfunction(f)]
+        else:
+            functions = [obj] if inspect.isfunction(obj) else []
+        for fn in functions:
+            capped = [p for p in inspect.signature(fn).parameters if p.endswith("_cap")]
+            assert not capped, (name, fn.__qualname__, capped)

@@ -88,6 +88,21 @@ def test_multigraph_invariants():
         Multigraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("draw, fits, too_large", [
+    (lambda n: rm.sample_gnp(n, 0.0, 1), 1414, 1415),  # n(n-1)/2: 998,991 and 1,000,405 pairs
+    (lambda n: rm.sample_bipartite(n, 1000, 0.0, 1), 1000, 1001),  # 1000n pairs
+    (lambda n: rm.sample_pairing(n, 4, 1), 1000, 250_001),  # 4n points
+], ids=["gnp", "bipartite", "pairing"])
+def test_samplers_refuse_draws_over_the_build_cap(draw, fits, too_large):
+    draw(fits)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match="over the build cap"):
+        draw(too_large)
+    with pytest.raises(CapExceededError, match="over the build cap"):
+        draw(10**6)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_pairing_degrees_always_exact():
     for seed in range(30):
         n = 6 + 2 * (seed % 5)
