@@ -12,7 +12,8 @@ adjacency bitset list per color and tests only the newly colored edge:
 the class was target-free before it, so a new target must use it (a
 cycle closes through it, a biclique has it as a cross edge).  Every
 returned good coloring is re-verified by the whole-graph containment
-tests, which share no code with the through-edge tests.
+tests, which share no code with the through-edge tests.  One work budget,
+ARROW_WORK_CAP, bounds every search, whatever the host's size.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from typing import Optional, Union
 from .constructions import Graph, _bits
 from .errors import CapExceededError
 
-#: most host edges the search colours: one through-edge test on a bigger
-#: host can take seconds (K14 -> (C14, C14): up to 1.8 s each)
-ARROW_EDGE_CAP = 21
-#: most colourings the search examines before it gives up
-ARROW_COLORINGS_CAP = 10**6
+#: most steps of work an arrow search takes before it gives up (see _search).
+#: K9 -> (C5, C5) takes 3.18e6 steps and K8 -> (C6, C6) 5.84e6, the largest
+#: decision kept in reach.  A step costs 0.4-1 us on a 2-vCPU machine, so a
+#: search stopped by the cap (K1x19 -> 18 x K1x2, K14 -> (C14, C14)) ends in 3-6 s.
+ARROW_WORK_CAP = 8 * 10**6
 TARGET_VERTEX_CAP = 20
 
 
@@ -266,97 +267,93 @@ def verify_coloring_avoids_targets(
 # ── the search ───────────────────────────────────────────────────────────────
 
 
-def _path_of_length(adj: list[int], x: int, v: int, avoid: int, edges: int) -> bool:
-    """A simple x-v path of exactly `edges` >= 2 edges whose inner vertices avoid `avoid`."""
-    if edges == 2:
-        return bool(adj[x] & adj[v] & ~avoid)
-    options = adj[x] & ~avoid
-    while options:
-        low = options & -options
-        options ^= low
-        if _path_of_length(adj, low.bit_length() - 1, v, avoid | low, edges - 1):
-            return True
-    return False
-
-
-def _biclique_with_cross_edge(
-    adj: list[int], a: int, b: int, a_pool: int, b_pool: int, m1: int, m2: int
-) -> bool:
-    """A biclique A (|A|=m1, a in A, A within a_pool), B (|B|=m2, b in B, B within b_pool).
-
-    The rest of A lies in N(b); B is then any m2 vertices of the common
-    neighbourhood of A, which holds b and, without loops, misses A.  `a`
-    must lie in a_pool and `b` in b_pool.
-    """
-    around_a = adj[a] & b_pool
-    if around_a.bit_count() < m2:
-        return False
-    for rest in combinations(_bits(adj[b] & a_pool & ~(1 << a)), m1 - 1):
-        common = around_a
-        for x in rest:
-            common &= adj[x]
-            if common.bit_count() < m2:
-                break
-        else:
-            return True
-    return False
-
-
-def _through_edge_test(target: Target, host: Graph, respect_bipartition: bool):
-    """test(adj, u, v): does the class `adj`, holding edge uv, contain `target` through uv?"""
-    if isinstance(target, CycleTarget):
-        edges = target.length - 1
-
-        def cycle(adj: list[int], u: int, v: int) -> bool:
-            return _path_of_length(adj, u, v, 1 << u | 1 << v, edges)
-
-        return cycle
-    m1, m2 = target.m1, target.m2
-    # the class-0 endpoint (any endpoint without classes) on the m1 side or the m2 side
-    sizes = [(m1, m2)] if m1 == m2 else [(m1, m2), (m2, m1)]
-    side = host.side if respect_bipartition else None
-    if side is None:
-        pool_a = pool_b = (1 << host.n) - 1
-    else:
-        pool_a, pool_b = host.side_mask(0), host.side_mask(1)
-
-    def biclique(adj: list[int], u: int, v: int) -> bool:
-        if side is not None:
-            if side[u] == side[v]:
-                return False  # never a cross edge of a biclique across the classes
-            if side[u]:
-                u, v = v, u
-        return any(
-            _biclique_with_cross_edge(adj, u, v, pool_a, pool_b, s1, s2)
-            for s1, s2 in sizes
-        )
-
-    return biclique
-
-
 def _search(
     host: Graph,
     targets: tuple[Target, ...],
     respect_bipartition: bool,
 ) -> ArrowResult:
-    """Decide the arrow relation, or raise CapExceededError past ARROW_COLORINGS_CAP colourings.
+    """Decide the arrow relation, or raise CapExceededError past ARROW_WORK_CAP steps.
 
-    The cap is checked when a node has tried all its colours, not at every
-    colouring, and once more when the search ends, so the search raises
-    exactly when its count of colourings examined would pass the cap.
+    A step is a colouring examined, a path-search node with two or more
+    inner vertices left to place, or an orientation or candidate set tried
+    by the biclique test.  The count is checked at every path-search node,
+    when a node of the colouring search has tried all its colours, and when
+    the search ends, so the search raises exactly when its count would pass
+    the cap.  A biclique test runs to its end: at most C(18, 9) candidate
+    sets per orientation within the vertex cap.
     """
     if not targets:
         raise ValueError("need at least one target")
     k = len(targets)
     m = host.edge_count
-    if m > ARROW_EDGE_CAP:
-        raise CapExceededError(
-            f"arrow search capped at {ARROW_EDGE_CAP} edges, host has {m}"
-        )
     if m and host.n > TARGET_VERTEX_CAP:
         raise CapExceededError(
             f"target search capped at {TARGET_VERTEX_CAP} vertices, host has {host.n}"
         )
+    cap, work = ARROW_WORK_CAP, 0
+    capped = f"arrow search capped at {cap} steps"
+
+    def path(adj: list[int], x: int, v: int, avoid: int, edges: int) -> bool:
+        """A simple x-v path of exactly `edges` >= 2 edges whose inner vertices avoid `avoid`."""
+        nonlocal work
+        if edges == 2:
+            return bool(adj[x] & adj[v] & ~avoid)
+        work += 1
+        if work > cap:
+            raise CapExceededError(capped)
+        ends = adj[v] & ~avoid  # with edges == 3, x-y-z-v needs some z in N(y) & ends
+        options = adj[x] & ~avoid
+        while options:
+            low = options & -options
+            options ^= low
+            y = low.bit_length() - 1
+            if adj[y] & ends if edges == 3 else path(adj, y, v, avoid | low, edges - 1):
+                return True
+        return False
+
+    def through_edge_test(target: Target):
+        """test(adj, u, v): does the class `adj`, holding edge uv, contain `target` through uv?"""
+        if isinstance(target, CycleTarget):
+            edges = target.length - 1
+            return lambda adj, u, v: path(adj, u, v, 1 << u | 1 << v, edges)
+        m1, m2 = target.m1, target.m2
+        # the class-0 endpoint (any endpoint without classes) on the m1 side or the m2 side
+        sizes = [(m1, m2)] if m1 == m2 else [(m1, m2), (m2, m1)]
+        side = host.side if respect_bipartition else None
+        if side is None:
+            pool_a = pool_b = (1 << host.n) - 1
+        else:
+            pool_a, pool_b = host.side_mask(0), host.side_mask(1)
+
+        def cross(adj: list[int], a: int, b: int) -> bool:
+            """A biclique A (|A|=s1) within pool_a, B (|B|=s2) within pool_b, a in A, b in B.
+
+            The rest of A lies in N(b); B is then any s2 vertices of the common
+            neighbourhood of A, which holds b and, without loops, misses A.
+            """
+            nonlocal work
+            if side is not None:
+                if side[a] == side[b]:
+                    return False  # never a cross edge of a biclique across the classes
+                if side[a]:
+                    a, b = b, a
+            for s1, s2 in sizes:
+                work += 1
+                around_a = adj[a] & pool_b
+                if around_a.bit_count() < s2:
+                    continue
+                for rest in combinations(_bits(adj[b] & pool_a & ~(1 << a)), s1 - 1):
+                    work += 1
+                    common = around_a
+                    for x in rest:
+                        common &= adj[x]
+                        if common.bit_count() < s2:
+                            break
+                    else:
+                        return True
+            return False
+
+        return cross
 
     # color edges in descending endpoint-degree order: dense corners first
     deg = host.degrees()
@@ -365,16 +362,14 @@ def _search(
 
     # cadj[c][x]: neighbours of x in color class c; entry 0 is unused
     cadj = [[0] * host.n for _ in range(k + 1)]
-    contains = [None] + [
-        _through_edge_test(t, host, respect_bipartition) for t in targets
-    ]
+    contains = [None] + [through_edge_test(t) for t in targets]
     assignments = 0
     colors = [0] * m
     # when all targets coincide, color permutations act trivially: fix edge 0
     first_edge_choices = 1 if (m and len(set(targets)) == 1) else k
 
     def dfs(i: int) -> Optional[list[int]]:
-        nonlocal assignments
+        nonlocal assignments, work
         if i == m:
             return list(colors)
         u, v = edges[i]
@@ -382,6 +377,7 @@ def _search(
         allowed = range(1, first_edge_choices + 1) if i == 0 else range(1, k + 1)
         for c in allowed:
             assignments += 1
+            work += 1
             adj = cadj[c]
             adj[u] |= bv
             adj[v] |= bu
@@ -394,13 +390,13 @@ def _search(
             adj[u] ^= bv
             adj[v] ^= bu
             colors[i] = 0
-        if assignments > ARROW_COLORINGS_CAP:
-            raise CapExceededError(f"arrow search capped at {ARROW_COLORINGS_CAP} colourings")
+        if work > cap:
+            raise CapExceededError(capped)
         return None
 
     good = dfs(0)
-    if assignments > ARROW_COLORINGS_CAP:
-        raise CapExceededError(f"arrow search capped at {ARROW_COLORINGS_CAP} colourings")
+    if work > cap:
+        raise CapExceededError(capped)
     if good is None:
         return ArrowResult(True, None, assignments)
     # map colors back to the host's canonical edge order
@@ -444,7 +440,6 @@ __all__ = [
     "arrows",
     "bipartite_arrows",
     "verify_coloring_avoids_targets",
-    "ARROW_EDGE_CAP",
-    "ARROW_COLORINGS_CAP",
+    "ARROW_WORK_CAP",
     "TARGET_VERTEX_CAP",
 ]

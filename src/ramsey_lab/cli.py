@@ -52,7 +52,9 @@ from .constructions import (
     verify_leaf_tree,
 )
 from .errors import CapExceededError, InfeasibleDensityError
-from .random_models import child_seed, estimate_hole_probability, sample_pairing, wilson_interval
+from .random_models import (
+    MONTE_CARLO_CAP, child_seed, estimate_hole_probability, sample_pairing, wilson_interval,
+)
 from .threshold_solver import (
     bipartite_min_density,
     gnp_min_density,
@@ -193,6 +195,10 @@ def cmd_simulate(args) -> str:
             raise ValueError("pairing model needs --d")
         if args.trials < 1:
             raise ValueError("need at least one trial")
+        if args.trials > MONTE_CARLO_CAP:
+            raise CapExceededError(
+                f"simple pairing draws: {args.trials} is over the Monte Carlo cap of {MONTE_CARLO_CAP}"
+            )
         attempts = 0
         for i in range(args.trials):
             _, att = sample_pairing(args.N, args.d, child_seed(args.seed, i, 0), simple_only=True)

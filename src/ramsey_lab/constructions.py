@@ -97,9 +97,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency_bitsets()[u] >> v & 1)
-
     def adjacency_bitsets(self) -> list[int]:
         """Per-vertex neighbourhoods as int bitmasks (cached)."""
         if self._adj is None:
@@ -112,12 +109,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adjacency_bitsets()]
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adjacency_bitsets()[v])
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, list(self.edges) + [(u, v)], self.side)
 
     def side_vertices(self, s: int) -> list[int]:
         if self.side is None:
@@ -250,9 +241,6 @@ class RootedTree:
 
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.parent[1:].tolist(), range(1, self.n)))
-
-    def to_graph(self) -> Graph:
-        return Graph(self.n, self.edges())
 
 
 def _perfect_tree_block(height: int, base: int, attach: int, attach_depth: int):

@@ -43,6 +43,9 @@ HOLE_EXACT_VERTEX_CAP = 60
 HOLE_EXACT_SIZE_CAP = 8
 #: most expected rejection attempts a simple pairing draw may need
 PAIRING_ATTEMPTS_CAP = 100_000
+#: most hole searches (trials times heuristic restarts) or simple pairing
+#: draws one Monte Carlo runs; the CLI default is 100 x 2000
+MONTE_CARLO_CAP = 10**6
 
 #: restarts of trial 0 that a heuristic Monte Carlo times in its own
 #: process before it decides whether to fork trial workers
@@ -653,6 +656,11 @@ def estimate_hole_probability(
         )
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
+    searches = trials * (max(1, iters) if mode == "heuristic" else 1)
+    if searches > MONTE_CARLO_CAP:
+        raise CapExceededError(
+            f"hole searches: {searches} is over the Monte Carlo cap of {MONTE_CARLO_CAP}"
+        )
 
     def host(i: int):
         sample_seed = child_seed(seed, i, 0)
@@ -719,4 +727,5 @@ __all__ = [
     "HOLE_EXACT_VERTEX_CAP",
     "HOLE_EXACT_SIZE_CAP",
     "PAIRING_ATTEMPTS_CAP",
+    "MONTE_CARLO_CAP",
 ]

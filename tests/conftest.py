@@ -1,6 +1,7 @@
 """Shared pytest wiring: a PASS/FAIL summary line per acceptance criterion,
-an independent high-precision oracle for the regular-model density, and a
-planted-hole generator for the hole searches."""
+an independent high-precision oracle for the regular-model density, a
+planted-hole generator for the hole searches, and small graph helpers that
+only tests need (import them with ``from conftest import ...``)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,24 @@ import mpmath
 import pytest
 
 from ramsey_lab.constructions import Graph
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    return bool(graph.adjacency_bitsets()[u] >> v & 1)
+
+
+def neighbors(graph: Graph, v: int) -> list[int]:
+    return [u for u in range(graph.n) if graph.adjacency_bitsets()[v] >> u & 1]
+
+
+def with_edge(graph: Graph, u: int, v: int) -> Graph:
+    return Graph(graph.n, graph.edges + ((u, v),), graph.side)
+
+
+def tree_graph(tree) -> Graph:
+    """A RootedTree as a Graph on the same vertices."""
+    return Graph(tree.n, tree.edges())
+
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +12,8 @@ import ramsey_lab.arrow_checker as ac
 from ramsey_lab.arrow_checker import BicliqueTarget, CycleTarget, EdgeColoring
 from ramsey_lab.constructions import Graph
 from ramsey_lab.errors import CapExceededError
+
+from conftest import has_edge, with_edge
 
 
 def petersen() -> Graph:
@@ -94,7 +97,7 @@ def brute_force_has_cycle(graph: Graph, length: int) -> bool:
                 yield from orders(prefix + [v], remaining[:i] + remaining[i + 1:])
         for cyc in orders([verts[0]], rest):
             if all(
-                graph.has_edge(cyc[i], cyc[(i + 1) % length]) for i in range(length)
+                has_edge(graph, cyc[i], cyc[(i + 1) % length]) for i in range(length)
             ):
                 return True
     return False
@@ -139,7 +142,7 @@ def brute_force_has_biclique(graph: Graph, m1: int, m2: int) -> bool:
     for a_set in combinations(verts, m1):
         rest = [v for v in verts if v not in a_set]
         for b_set in combinations(rest, m2):
-            if all(graph.has_edge(u, v) for u in a_set for v in b_set):
+            if all(has_edge(graph, u, v) for u in a_set for v in b_set):
                 return True
     return False
 
@@ -204,7 +207,7 @@ def test_arrows_complete_hosts_diagonal_triangle():
 
 def test_arrows_off_diagonal_cycles():
     t = (CycleTarget(3), CycleTarget(4))
-    assert ac.arrows(Graph.complete(7), t).arrows  # 21 edges: exactly at cap
+    assert ac.arrows(Graph.complete(7), t).arrows
     assert not ac.arrows(Graph.complete(6), t).arrows
 
 
@@ -218,37 +221,42 @@ def test_arrows_trivia():
 
 
 def test_arrows_caps_and_validation(monkeypatch):
-    with pytest.raises(CapExceededError):
-        ac.arrows(Graph.complete(8), (CycleTarget(3), CycleTarget(3)))
-    # the colourings cap: a search raises exactly when its count would pass it
-    arrowing = (Graph.complete(6), (CycleTarget(4), CycleTarget(4)))  # 2083 colourings
-    good = (Graph.complete(7), (CycleTarget(5), CycleTarget(5)))  # witness after 134
-    for (host, targets), count in ((arrowing, 2083), (good, 134)):
-        monkeypatch.setattr(ac, "ARROW_COLORINGS_CAP", count)
-        assert ac.arrows(host, targets).colorings_examined == count
-        monkeypatch.setattr(ac, "ARROW_COLORINGS_CAP", count - 1)
-        with pytest.raises(CapExceededError, match="colourings"):
-            ac.arrows(host, targets)
-    monkeypatch.setattr(ac, "ARROW_COLORINGS_CAP", 50)
-    with pytest.raises(CapExceededError, match="colourings"):
-        ac.bipartite_arrows(Graph.complete_bipartite(4, 4), (BicliqueTarget(2, 2),) * 2)
-    # it stops near the cap, not after the whole search: one test per colouring
-    tests_run = []
-    through_edge_test = ac._through_edge_test
-
-    def counting_test(*args):
-        test = through_edge_test(*args)
-
-        def counted(adj, u, v):
-            tests_run.append(1)
-            return test(adj, u, v)
-
-        return counted
-
-    monkeypatch.setattr(ac, "_through_edge_test", counting_test)
-    with pytest.raises(CapExceededError, match="colourings"):
-        ac.arrows(*arrowing)
-    assert 50 < len(tests_run) <= 50 + 15 * 2  # at most one node of colours past it per level
+    # no edge cap: K8 (28 edges) is decided
+    assert ac.arrows(Graph.complete(8), (CycleTarget(3), CycleTarget(3))).colorings_examined == 12015
+    # the work cap: a search raises exactly when its count of steps would pass it.  A
+    # triangle search spends one step per colouring; longer cycles add path-search nodes,
+    # bicliques add orientations and candidate sets
+    cases = [
+        (ac.arrows, Graph.complete(8), (CycleTarget(3),) * 2, 12015),
+        (ac.arrows, Graph.complete(5), (CycleTarget(3),) * 2, 71),  # witness
+        (ac.arrows, Graph.complete(7), (CycleTarget(5),) * 2, 481),  # witness after 134 colourings
+        (ac.bipartite_arrows, Graph.complete_bipartite(4, 4), (BicliqueTarget(2, 2),) * 2,
+         302),  # witness after 119 colourings
+        (ac.bipartite_arrows, Graph.complete_bipartite(1, 5), (BicliqueTarget(1, 3),) * 2,
+         57),  # 19 colourings
+    ]
+    for search, host, targets, steps in cases:
+        monkeypatch.setattr(ac, "ARROW_WORK_CAP", steps)
+        search(host, targets)
+        monkeypatch.setattr(ac, "ARROW_WORK_CAP", steps - 1)
+        with pytest.raises(CapExceededError, match=f"capped at {steps - 1} steps"):
+            search(host, targets)
+    # it stops near the cap, not after the whole search (1942 biclique candidate pools)
+    monkeypatch.setattr(ac, "ARROW_WORK_CAP", 50)
+    pools = []
+    bits = ac._bits
+    monkeypatch.setattr(ac, "_bits", lambda mask: pools.append(mask) or bits(mask))
+    with pytest.raises(CapExceededError, match="steps"):
+        ac.arrows(Graph.complete(6), (BicliqueTarget(2, 2),) * 2)
+    assert 0 < len(pools) <= 50  # each pool follows at least one counted step
+    # uncapped, the K13 triangle search takes seconds, and so can one Hamilton-path
+    # search on K14
+    monkeypatch.setattr(ac, "ARROW_WORK_CAP", 10_000)
+    for n, length in ((13, 3), (14, 14)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceededError, match="steps"):
+            ac.arrows(Graph.complete(n), (CycleTarget(length),) * 2)
+        assert time.perf_counter() - t0 < 1.0
     with pytest.raises(ValueError):
         ac.arrows(Graph.complete(5), ())
     with pytest.raises(ValueError):
@@ -312,7 +320,7 @@ def test_arrows_matches_enumeration_oracle():
     # long cycles, mixed targets, isolated vertices (the last vertices of n)
     wheel = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
     long_hosts = [
-        Graph.cycle(6).with_edge(0, 3),
+        with_edge(Graph.cycle(6), 0, 3),
         wheel,
         Graph(9, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2), (3, 5)]),
         Graph(8, [e for e in combinations(range(5), 2) if e != (0, 1)]),
@@ -388,8 +396,23 @@ def test_arrows_frozen_counts():
         assert (r.arrows, r.colorings_examined) == (answer, count)
 
 
+@pytest.mark.parametrize("n, length, answer, count", [
+    (8, 5, False, 23001),
+    (9, 5, True, 826529),
+    (7, 6, False, 30),
+    (8, 6, True, 763423),
+], ids=["K8-C5", "K9-C5", "K7-C6", "K8-C6"])
+def test_arrows_cycle_ramsey_numbers(n, length, answer, count):
+    """R(C5, C5) = 9 and R(C6, C6) = 8 (Rosta 1973; Faudree-Schelp 1974), with frozen counts."""
+    t = (CycleTarget(length), CycleTarget(length))
+    t0 = time.perf_counter()
+    r = ac.arrows(Graph.complete(n), t)
+    assert time.perf_counter() - t0 < 10.0
+    assert (r.arrows, r.colorings_examined) == (answer, count)
+
+
 def test_arrows_vertex_cap_applies_to_hosts_with_edges():
-    path = Graph(22, [(i, i + 1) for i in range(21)])  # 21 edges: inside the edge cap
+    path = Graph(22, [(i, i + 1) for i in range(21)])
     with pytest.raises(CapExceededError, match="22"):
         ac.arrows(path, (CycleTarget(3), CycleTarget(3)))
     r = ac.arrows(Graph.empty(25), (CycleTarget(3), CycleTarget(3)))
@@ -410,10 +433,10 @@ def test_arrows_monotone_under_edge_addition():
     for trial in range(10):
         edges = [e for e in combinations(range(6), 2) if rng.random() < 0.75]
         g = Graph(6, edges)
-        missing = [e for e in combinations(range(6), 2) if not g.has_edge(*e)]
+        missing = [e for e in combinations(range(6), 2) if not has_edge(g, *e)]
         if not missing or not ac.arrows(g, t).arrows:
             continue
-        bigger = g.with_edge(*rng.choice(missing))
+        bigger = with_edge(g, *rng.choice(missing))
         assert ac.arrows(bigger, t).arrows
 
 

@@ -263,7 +263,7 @@ def test_exit_code_usage_errors(capsys):
 
 
 def test_exit_code_cap_exceeded(capsys):
-    rc, _, err = run_cli(capsys, "arrow", "--host", "K8", "--targets", "C3,C3")
+    rc, _, err = run_cli(capsys, "arrow", "--host", "K21", "--targets", "C3,C3")
     assert rc == 3 and "cap" in err
 
 
@@ -287,6 +287,14 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
      "--trials", "1"),
     ("simulate", "--model", "pairing", "--N", "1000000", "--s", "3", "--d", "3", "--seed", "1",
      "--trials", "1"),
+    # Monte Carlo runs (trials, times restarts in heuristic mode) over MONTE_CARLO_CAP
+    pytest.param(("simulate", "--model", "gnp", "--N", "20", "--s", "3", "--p", "0.9", "--seed", "1",
+                  "--trials", "1000000000", "--mode", "exact"), id="simulate --trials 1000000000"),
+    pytest.param(("simulate", "--model", "gnp", "--N", "40", "--s", "8", "--p", "0.9", "--seed", "1",
+                  "--trials", "1", "--mode", "heuristic", "--iters", "1000000000"),
+                 id="simulate --iters 1000000000"),
+    pytest.param(("simulate", "--model", "pairing", "--N", "60", "--d", "3", "--seed", "1",
+                  "--trials", "1000001", "--simple-only"), id="simulate --simple-only"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_oversized_input_is_refused_before_allocation(capsys, argv):
     t0 = time.perf_counter()
@@ -302,7 +310,16 @@ def test_arrow_search_ends_at_the_colourings_cap(capsys):
     rc, out, err = run_cli(capsys, "arrow", "--host", "K1x19", "--targets", ",".join(["K1x2"] * 18))
     assert time.perf_counter() - t0 < 10.0
     assert rc == 3 and out == ""
-    assert err == "error: arrow search capped at 1000000 colourings\n"
+    assert err == "error: arrow search capped at 8000000 steps\n"
+
+
+def test_arrow_search_ends_at_the_work_cap_on_a_large_host(capsys):
+    """91 edges, past the old 21-edge cap; one Hamilton-path search can take seconds."""
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "arrow", "--host", "K14", "--targets", "C14,C14")
+    assert time.perf_counter() - t0 < 10.0
+    assert rc == 3 and out == ""
+    assert err == "error: arrow search capped at 8000000 steps\n"
 
 
 def test_arrow_edgeless_host_over_vertex_cap_is_searched(capsys):

@@ -20,6 +20,8 @@ import ramsey_lab.constructions as cons
 from ramsey_lab.constructions import Graph, RootedTree
 from ramsey_lab.errors import CapExceededError
 
+from conftest import has_edge, neighbors, tree_graph, with_edge
+
 
 # ── small integer helpers ────────────────────────────────────────────────────
 
@@ -69,9 +71,9 @@ def test_graph_normalizes_and_deduplicates_edges():
     g = Graph(4, [(2, 0), (0, 2), (3, 1)])
     assert g.edges == ((0, 2), (1, 3))
     assert g.edge_count == 2
-    assert g.has_edge(2, 0) and g.has_edge(0, 2)
-    assert not g.has_edge(0, 1)
-    assert g.neighbors(0) == [2]
+    assert has_edge(g, 2, 0) and has_edge(g, 0, 2)
+    assert not has_edge(g, 0, 1)
+    assert neighbors(g, 0) == [2]
     assert g.degrees() == [1, 1, 1, 1]
 
 
@@ -103,7 +105,7 @@ def test_graph_equality_and_with_edge():
     assert g == Graph(3, [(1, 0)])
     assert hash(g) == hash(Graph(3, [(1, 0)]))
     assert g != Graph(3, [(0, 1)], side=[0, 1, 0])
-    g2 = g.with_edge(1, 2)
+    g2 = with_edge(g, 1, 2)
     assert g2.edges == ((0, 1), (1, 2))
     assert g.edges == ((0, 1),)  # original untouched
 
@@ -142,7 +144,7 @@ def bfs_distances(graph: Graph, src: int) -> list[int]:
     q = deque([src])
     while q:
         u = q.popleft()
-        for v in graph.neighbors(u):
+        for v in neighbors(graph, u):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 q.append(v)
@@ -193,7 +195,7 @@ def test_leaf_tree_sweep_invariants():
 def test_leaf_tree_depths_match_bfs():
     for n in (6, 11, 21):
         tree = cons.build_leaf_tree(n)
-        dist = bfs_distances(tree.to_graph(), 0)
+        dist = bfs_distances(tree_graph(tree), 0)
         assert dist == list(tree.depth)
 
 
@@ -243,7 +245,7 @@ def test_connector_sweep_against_bfs_oracle():
         t = cons.build_connector_tree(m1, m2, n)
         rep = cons.verify_connector_tree(t, m1, m2, n)
         assert rep["ok"], (m1, m2, n, rep)
-        g = t.to_graph()
+        g = tree_graph(t)
         for x in t.x_leaves:
             dist = bfs_distances(g, int(x))
             assert all(dist[int(y)] == n - 1 for y in t.y_leaves)
@@ -255,7 +257,7 @@ def test_connector_even_n_classes_differ():
         rep = cons.verify_connector_tree(t, m1, m2, n)
         assert rep["parity_ok"] is True
         # explicit 2-colouring oracle: colour = parity of BFS distance from 0
-        g = t.to_graph()
+        g = tree_graph(t)
         col = [d % 2 for d in bfs_distances(g, 0)]
         cx = {col[int(v)] for v in t.x_leaves}
         cy = {col[int(v)] for v in t.y_leaves}
@@ -369,7 +371,7 @@ def embed_tree_backtracking(graph: Graph, tree: RootedTree) -> dict[int, int] | 
         if v == 0:
             candidates = range(graph.n)
         else:
-            candidates = graph.neighbors(image[int(tree.parent[v])])
+            candidates = neighbors(graph, image[int(tree.parent[v])])
         for g_v in candidates:
             if used >> g_v & 1 or deg[g_v] < need[v]:
                 continue
@@ -413,7 +415,7 @@ def test_expansion_witness_is_a_real_violation():
             continue
         hood = set()
         for v in witness:
-            hood.update(g.neighbors(v))
+            hood.update(neighbors(g, v))
         assert len(hood) < (d + 1) * len(witness)
         adj_checked += 1
     assert adj_checked >= 5
@@ -437,7 +439,7 @@ def test_expansion_validation():
 def check_embedding(graph: Graph, tree: RootedTree, image: dict[int, int]) -> None:
     assert len(set(image.values())) == tree.n  # injective
     for u, v in tree.edges():
-        assert graph.has_edge(image[u], image[v])
+        assert has_edge(graph, image[u], image[v])
 
 
 def test_embed_examples():

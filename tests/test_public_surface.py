@@ -5,12 +5,15 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 LIBRARY_MODULES = ["bounds", "threshold_solver", "constructions", "random_models", "arrow_checker"]
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+CAP_NAME = re.compile(r"\b[A-Z][A-Z0-9_]*_CAP\b")
 
 
 def _is_definition(obj) -> bool:
@@ -53,3 +56,17 @@ def test_no_public_function_takes_a_cap(name):
         for fn in functions:
             capped = [p for p in inspect.signature(fn).parameters if p.endswith("_cap")]
             assert not capped, (name, fn.__qualname__, capped)
+
+
+def test_readme_names_every_cap():
+    """README's "Guarantees and caps" names each module-level *_CAP constant, and no other."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Guarantees and caps\n", 1)[1].split("\n## ", 1)[0]
+    defined = {
+        attr
+        for name in LIBRARY_MODULES
+        for attr in vars(importlib.import_module(f"ramsey_lab.{name}"))
+        if CAP_NAME.fullmatch(attr)
+    }
+    assert defined
+    assert set(CAP_NAME.findall(section)) == defined

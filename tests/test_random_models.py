@@ -19,6 +19,8 @@ from ramsey_lab.constructions import Graph
 from ramsey_lab.errors import CapExceededError
 from ramsey_lab.random_models import HoleWitness, Multigraph
 
+from conftest import has_edge, with_edge
+
 
 # ── binomial samplers ────────────────────────────────────────────────────────
 
@@ -169,14 +171,14 @@ def brute_force_has_hole(graph: Graph, s: int) -> bool:
         rights = list(combinations(graph.side_vertices(1), s))
         for left in lefts:
             for right in rights:
-                if not any(graph.has_edge(u, v) for u in left for v in right):
+                if not any(has_edge(graph, u, v) for u in left for v in right):
                     return True
         return False
     verts = range(graph.n)
     for left in combinations(verts, s):
         rest = [v for v in verts if v not in left]
         for right in combinations(rest, s):
-            if not any(graph.has_edge(u, v) for u in left for v in right):
+            if not any(has_edge(graph, u, v) for u in left for v in right):
                 return True
     return False
 
@@ -228,7 +230,7 @@ def test_verify_hole_rules():
     assert not rm.verify_hole(g, HoleWitness(frozenset({0}), frozenset({9})))  # range
     assert not rm.verify_hole(g, HoleWitness(frozenset({0}), frozenset({4})), size=2)
 
-    kb = Graph.complete_bipartite(2, 2).with_edge(0, 1)
+    kb = with_edge(Graph.complete_bipartite(2, 2), 0, 1)
     # crossing pair with no edge is NOT a hole here: sides must differ
     assert not rm.verify_hole(kb, HoleWitness(frozenset({0}), frozenset({1})))
 
@@ -447,6 +449,14 @@ def test_estimate_validation():
         rm.estimate_hole_probability("erdos", 12, 2, 10, 1, p=0.5)
     with pytest.raises(ValueError):
         rm.estimate_hole_probability("gnp", 12, 2, 10, 1, p=0.5, mode="psychic")
+    # trials times restarts (trials alone in exact mode) over the Monte Carlo cap
+    cap = rm.MONTE_CARLO_CAP
+    with pytest.raises(CapExceededError, match="Monte Carlo cap"):
+        rm.estimate_hole_probability("gnp", 12, 2, cap // 1000 + 1, 1, p=0.5, mode="heuristic",
+                                     iters=1000)
+    with pytest.raises(CapExceededError, match="Monte Carlo cap"):
+        rm.estimate_hole_probability("gnp", 12, 2, cap + 1, 1, p=0.5, mode="exact")
+    assert rm.estimate_hole_probability("gnp", 12, 2, cap // 2000 + 1, 1, p=0.0).holes == 501
 
 
 def _record_forks(monkeypatch) -> list[int]:
