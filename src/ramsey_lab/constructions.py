@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -177,15 +177,9 @@ def build_complete_multipartite(sizes: Sequence[int]) -> Graph:
         raise ValueError("class sizes must be positive integers")
     n = sum(sizes)
     _check_size("multipartite vertices plus edges", n + (n * n - sum(s * s for s in sizes)) // 2)
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            for u in range(offsets[i], offsets[i + 1]):
-                for v in range(offsets[j], offsets[j + 1]):
-                    edges.append((u, v))
+    offsets = [0, *accumulate(sizes)]
+    classes = [range(a, b) for a, b in zip(offsets, offsets[1:])]
+    edges = [(u, v) for c1, c2 in combinations(classes, 2) for u in c1 for v in c2]
     side = None
     if len(sizes) == 2:
         side = [0] * sizes[0] + [1] * sizes[1]
@@ -228,19 +222,13 @@ class RootedTree:
     def children_counts(self) -> np.ndarray:
         return np.bincount(self.parent[1:], minlength=self.n)
 
-    def degrees(self) -> np.ndarray:
-        deg = self.children_counts()
-        deg[1:] += 1
-        return deg
-
     def leaves(self) -> np.ndarray:
         return np.flatnonzero(self.children_counts() == 0)
 
     def max_degree(self) -> int:
-        return int(self.degrees().max())
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(zip(self.parent[1:].tolist(), range(1, self.n)))
+        deg = self.children_counts()
+        deg[1:] += 1
+        return int(deg.max())
 
 
 def _perfect_tree_block(height: int, base: int, attach: int, attach_depth: int):
@@ -353,25 +341,22 @@ def build_connector_tree(m1: int, m2: int, n: int) -> RootedTree:
 
 
 def _tree_structure_ok(tree: RootedTree) -> bool:
+    """Root 0 at depth 0, and parent[v] < v with depth[v] = depth[parent[v]] + 1 for v >= 1."""
     p, d = tree.parent, tree.depth
-    v = len(p)
-    ids = np.arange(v, dtype=np.int64)
     if p[0] != -1 or d[0] != 0:
         return False
-    if v == 1:
-        return True
-    return bool(
-        np.all(p[1:] >= 0)
-        and np.all(p[1:] < ids[1:])
-        and np.all(d[1:] == d[p[1:]] + 1)
-    )
+    up = p[1:]
+    # viewed unsigned, a negative parent is huge, so one comparison checks 0 <= parent[v] < v
+    return bool((up.view(np.uint64) < np.arange(1, len(p), dtype=np.uint64)).all()
+                and (d[up] + 1 == d[1:]).all())
 
 
 def verify_leaf_tree(tree: RootedTree, n: int) -> dict:
     """Invariant report for build_leaf_tree output (ok-flag plus measurements)."""
-    leaves = tree.leaves()
+    deg = tree.children_counts()
+    leaves = np.flatnonzero(deg == 0)
     depths = tree.depth[leaves]
-    deg = tree.degrees()
+    deg[1:] += 1
     uniform = len(leaves) > 0 and int(depths.min()) == int(depths.max())
     report = {
         "n": n,
@@ -395,23 +380,20 @@ def verify_leaf_tree(tree: RootedTree, n: int) -> dict:
     return report
 
 
-def _branch_below_root(parent: np.ndarray) -> np.ndarray:
+def _branch_below_root(parent: np.ndarray, height: int) -> np.ndarray:
     """The child-of-root ancestor of every vertex (0 for the root itself).
 
     Pointer jumping: root children point at themselves, every other vertex
-    at its parent, and each round composes the pointers with themselves,
-    so a tree of depth h settles after about log2(h) rounds.  ``parent``
-    must already be a valid rooted tree (parent[v] < v).
+    at its parent, and each round composes the pointers with themselves.
+    After r rounds a vertex at depth k points at its ancestor at depth
+    max(1, k - 2**r), so (height - 2).bit_length() rounds settle every
+    vertex.  ``parent`` and ``height`` must come from a tree that passed
+    ``_tree_structure_ok``: parent[v] < v and depth[v] = depth[parent[v]] + 1.
     """
-    jump = parent.copy()
-    jump[0] = 0
-    top = jump == 0
-    jump[top] = np.flatnonzero(top)
-    while True:
-        nxt = jump[jump]
-        if np.array_equal(nxt, jump):
-            return jump
-        jump = nxt
+    jump = np.where(parent > 0, parent, np.arange(len(parent)))
+    for _ in range(max(height - 2, 0).bit_length()):
+        jump = jump[jump]
+    return jump
 
 
 def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
@@ -443,18 +425,15 @@ def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
         and report["max_degree"] <= 3
     )
     if ok:
-        dx, dy = tree.depth[x], tree.depth[y]
-        branch = _branch_below_root(tree.parent)
-        bx, by = set(branch[x].tolist()), set(branch[y].tolist())
-        uniform = (
-            int(dx.min()) == int(dx.max()) and int(dy.min()) == int(dy.max())
-        )
-        disjoint = not (bx & by)
-        if uniform and disjoint:
-            report["distance"] = int(dx[0]) + int(dy[0])
+        branch = _branch_below_root(tree.parent, int(tree.depth.max()))
+        depth_x, depth_y = set(tree.depth[x].tolist()), set(tree.depth[y].tolist())
+        disjoint = set(branch[x].tolist()).isdisjoint(branch[y].tolist())
+        if disjoint and len(depth_x) == len(depth_y) == 1:
+            (dx,), (dy,) = depth_x, depth_y
+            report["distance"] = dx + dy
             ok = report["distance"] == n - 1
             if n % 2 == 0:
-                report["parity_ok"] = (int(dx[0]) - int(dy[0])) % 2 == 1
+                report["parity_ok"] = (dx - dy) % 2 == 1
                 ok = ok and report["parity_ok"]
         else:
             ok = False
@@ -466,10 +445,31 @@ def verify_connector_tree(tree: RootedTree, m1: int, m2: int, n: int) -> dict:
 
 
 def serialize_edge_list(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> str:
-    """Shared plain-text format: header "n m", then sorted "u v" lines (u < v, duplicates kept)."""
-    pairs = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return f"{n} {len(pairs)}\n" + "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
+    """Shared plain-text format: header "n m", then sorted "u v" lines (u < v, duplicates kept).
+
+    Ids must be nonnegative.  Row i of a uint8 array holds the i-th printed id's digits,
+    right-aligned, and its space or newline; a bool mask drops the leading zeros.
+    """
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    m = len(pairs)
+    if m and lo.min() < 0:
+        raise ValueError(f"edge ids must be nonnegative, got {int(lo.min())}")
+    order = np.lexsort((hi, lo))
+    top = int(hi.max()) if m else 0
+    width = len(str(top))
+    text = np.empty((2 * m, width + 1), dtype=np.uint8)
+    keep = np.ones((2 * m, width + 1), dtype=bool)
+    text[0::2, width], text[1::2, width] = ord(" "), ord("\n")
+    q = np.empty(2 * m, dtype=np.min_scalar_type(top))  # narrow unsigned: fast // 10
+    q[0::2], q[1::2] = lo[order], hi[order]
+    for k in range(width - 1, -1, -1):
+        nq = q // 10
+        text[:, k] = q - nq * 10 + ord("0")
+        keep[:, k] = q != 0
+        q = nq
+    keep[:, width - 1] = True  # the last digit shows, a lone 0 too
+    return f"{n} {m}\n" + text[keep].tobytes().decode()
 
 
 def serialize_graph(graph: Graph) -> str:

@@ -27,9 +27,14 @@ def with_edge(graph: Graph, u: int, v: int) -> Graph:
     return Graph(graph.n, graph.edges + ((u, v),), graph.side)
 
 
+def tree_edges(tree) -> list[tuple[int, int]]:
+    """A RootedTree's (parent, child) pairs as plain ints, in child order."""
+    return list(zip(tree.parent[1:].tolist(), range(1, tree.n)))
+
+
 def tree_graph(tree) -> Graph:
     """A RootedTree as a Graph on the same vertices."""
-    return Graph(tree.n, tree.edges())
+    return Graph(tree.n, tree_edges(tree))
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

@@ -161,6 +161,19 @@ def test_construct_stdout_bytes_frozen(capsys, argv, sha256):
 
 
 @pytest.mark.parametrize("argv, sha256", [
+    (("construct", "--leaf-tree", "10000"),
+     "ad2d8b15336e72e658548c5764d9eb99a445cd27c12f3176755c29b0e7d85b51"),
+    (("construct", "--connector", "4096,4096,26"),
+     "2a69026f2dcbfbc4447cb286298c94ada7a9c3cd1720a6e0bd794d5e4accc6dd"),
+], ids=["leaf-tree-10000", "connector-4096"])
+def test_construct_large_tree_stdout_bytes_frozen(capsys, argv, sha256):
+    """Ids from one to five digits; the connector's joining path has length 1."""
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, sha256", [
     (("reproduce",),
      "38b35a47d559b89e4281ecc60ae19ff6567b0883f5dc961b7da28bf22a9673ea"),
     (("reproduce", "--json"),

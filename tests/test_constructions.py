@@ -15,12 +15,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ramsey_lab.constructions as cons
 from ramsey_lab.constructions import Graph, RootedTree
 from ramsey_lab.errors import CapExceededError
 
-from conftest import has_edge, neighbors, tree_graph, with_edge
+from conftest import has_edge, neighbors, tree_edges, tree_graph, with_edge
 
 
 # ── small integer helpers ────────────────────────────────────────────────────
@@ -288,6 +290,55 @@ def test_verify_connector_tree_catches_tampering():
     assert not cons.verify_connector_tree(plain, 2, 2, 10)["ok"]
 
 
+def branch_by_walk(parent: np.ndarray) -> list[int]:
+    """Each vertex's child-of-root ancestor (0 for the root), by walking up the parents."""
+    parent = parent.tolist()
+    branch = {0: 0}
+    for v in range(len(parent)):
+        path = []
+        while v not in branch and parent[v] != 0:
+            path.append(v)
+            v = parent[v]
+        top = branch.get(v, v)  # a vertex seen before, or a child of the root
+        for u in path + [v]:
+            branch[u] = top
+    return [branch[v] for v in range(len(parent))]
+
+
+def _tree_from_parents(parent: list[int]) -> RootedTree:
+    depth = [0] * len(parent)
+    for v in range(1, len(parent)):
+        depth[v] = depth[parent[v]] + 1
+    return RootedTree(np.array(parent), np.array(depth))
+
+
+def _branch_test_trees():
+    rng = random.Random(77)
+    for n in [1, 2, 3] + [rng.randint(4, 3000) for _ in range(40)]:
+        # topological trees: bushy (any earlier parent) and deep (one of the last few)
+        window = rng.choice([n, 1, 2, 5])
+        yield _tree_from_parents([-1] + [rng.randint(max(0, v - window), v - 1)
+                                         for v in range(1, n)])
+    yield _tree_from_parents([-1] + [0] * 50)  # star
+    heights = {1, 2, 3, 4} | {h for k in range(1, 14) for h in (2**k, 2**k + 1, 2**k + 2)}
+    for h in sorted(heights):
+        # a path of height h beside a second path from the root of half its height
+        side = h // 2
+        path = [-1] + list(range(h))
+        yield _tree_from_parents(path + [0] * bool(side) + list(range(h + 1, h + side)))
+    for m1, m2 in ((1, 1), (3, 5), (32, 17), (4096, 4096)):
+        lo = 2 + cons.ceil_log2(m1) + cons.ceil_log2(m2)  # joining path of length 1
+        for n in (lo, lo + 399):
+            yield cons.build_connector_tree(m1, m2, n)
+
+
+def test_branch_below_root_matches_parent_walk():
+    for tree in _branch_test_trees():
+        assert cons._tree_structure_ok(tree)  # the precondition of the fixed round count
+        got = cons._branch_below_root(tree.parent, int(tree.depth.max()))
+        assert got.tolist() == branch_by_walk(tree.parent), (tree.n, int(tree.depth.max()))
+
+
 def test_builders_check_the_size_cap_before_allocating():
     cap = cons.BUILD_SIZE_CAP
     # 2n + ceil(log2 n) - 2 vertices: 999997 at n = 499990, 1000017 at n = 500000
@@ -438,7 +489,7 @@ def test_expansion_validation():
 
 def check_embedding(graph: Graph, tree: RootedTree, image: dict[int, int]) -> None:
     assert len(set(image.values())) == tree.n  # injective
-    for u, v in tree.edges():
+    for u, v in tree_edges(tree):
         assert has_edge(graph, image[u], image[v])
 
 
@@ -494,7 +545,7 @@ def test_edge_list_round_trip():
 
     tree = cons.build_leaf_tree(6)
     assert cons.parse_edge_list(cons.serialize_tree(tree)).edges == tuple(
-        sorted(tree.edges())
+        sorted(tree_edges(tree))
     )
 
 
@@ -552,11 +603,30 @@ def test_serialize_graph_and_edge_list_match_loop_formatter():
     assert cons.serialize_graph(g) == reference_edge_list(g.n, g.edges)
 
 
-def test_tree_edges_are_plain_int_pairs():
-    for tree in (cons.build_leaf_tree(37), cons.build_connector_tree(3, 5, 12)):
-        edges = tree.edges()
-        assert all(type(u) is int and type(v) is int for u, v in edges)
-        assert edges == [(int(tree.parent[v]), v) for v in range(1, tree.n)]
+def test_serialize_edge_list_rejects_negative_ids():
+    with pytest.raises(ValueError, match="nonnegative"):
+        cons.serialize_edge_list(3, [(0, 1), (-1, 2)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        cons.serialize_edge_list(3, np.array([[2, -5]], dtype=np.int64))
+
+
+_DIGIT_BOUNDARIES = [0] + [10**k + d for k in range(1, 7) for d in (-1, 0)]
+_ids = st.one_of(st.sampled_from(_DIGIT_BOUNDARIES), st.integers(0, 10**6),
+                 st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(n=st.sampled_from([0, 1, 10**6]), pairs=st.lists(st.tuples(_ids, _ids), max_size=30),
+       again=st.integers(0, 30))
+@example(n=0, pairs=[], again=0)
+@example(n=10**6, pairs=[(10**6, 0), (9, 10), (99, 100), (0, 0)], again=4)
+def test_serialize_edge_list_matches_reference_at_digit_boundaries(n, pairs, again):
+    # the first `again` pairs come back reversed: duplicates in both orders
+    pairs = pairs + [(v, u) for u, v in pairs[:again]]
+    expected = reference_edge_list(n, pairs)
+    assert cons.serialize_edge_list(n, pairs) == expected
+    as_array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    assert cons.serialize_edge_list(n, as_array) == expected
 
 
 def test_parse_edge_list_comments_and_errors():
