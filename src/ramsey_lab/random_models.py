@@ -26,7 +26,7 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -39,8 +39,10 @@ from .constructions import Graph, _bits, _check_size
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-HOLE_EXACT_VERTEX_CAP = 60
+HOLE_EXACT_VERTEX_CAP = 60  # at most 64: the exact search packs pools in a uint64
 HOLE_EXACT_SIZE_CAP = 8
+#: most frontier nodes the exact hole search expands in one numpy step
+_EXACT_BLOCK = 256
 #: most expected rejection attempts a simple pairing draw may need
 PAIRING_ATTEMPTS_CAP = 100_000
 #: most hole searches (trials times heuristic restarts) or simple pairing
@@ -252,20 +254,23 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     """Exhaustive hole search; None is a proof that no hole of size s exists.
 
     Branch-and-bound over the left set in increasing vertex order, keeping
-    the bitmask of right vertices compatible with every chosen left vertex.
-    Each node filters its candidates once: a later vertex stays live only
-    if adding it leaves at least s right options, and its narrowed pool is
-    stored next to it.  Children scan only the live candidates after their
-    own vertex, and a node stops once too few remain to fill the left set.
-    Pools only shrink, so a vertex dead at a node is dead in its whole
-    subtree: the filter cuts no subtree that holds a hole, and the witness
-    is the lexicographically-first left set, with the s smallest vertices
-    of its pool on the right, as for a search that prunes only on the pool.
+    as a uint64 pool the right vertices compatible with every chosen left
+    vertex.  A child is kept only if its pool holds s vertices and enough
+    such candidates remain from it on to fill the left set; pools only
+    shrink, so no hole is lost.  The depth-first frontier is a stack of
+    frames of same-depth nodes in lexicographic order.  A step expands the
+    top frame's first rows against every later candidate at once and
+    pushes their children, row by row and so again in order.  Every node
+    before the block is exhausted by then, so the first depth-s child is
+    the lexicographically-first left set, returned with the s smallest
+    vertices of its pool.  The block starts at one row, for hosts with an
+    early hole, and doubles per step up to ``_EXACT_BLOCK`` rows: the stack
+    holds at most s frames of ``_EXACT_BLOCK`` times |left| nodes.
 
     For 2-class hosts the left set ranges over class 0 and the right pool
     over class 1.  Otherwise a witness swap symmetry lets the first left
-    vertex's pool start above it; that mask narrows the first vertex's
-    pool only, never the stored pools of the candidates after it.
+    vertex's pool start above it; that mask narrows the first vertex's own
+    pool only, never the live test of the candidates after it.
     """
     if graph.n > HOLE_EXACT_VERTEX_CAP:
         raise CapExceededError(
@@ -276,34 +281,40 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     if s < 1:
         raise ValueError("hole size must be at least 1")
     adj = graph.adjacency_bitsets()
-    n = graph.n
-    symmetric = graph.side is None
-
     if graph.side is not None:
-        left_vertices = graph.side_vertices(0)
-        pool0 = graph.side_mask(1)
+        left, pool0 = graph.side_vertices(0), graph.side_mask(1)
     else:
-        left_vertices = list(range(n))
-        pool0 = (1 << n) - 1
-
-    def extend(chosen: list[int], pool: int, cands) -> Optional[HoleWitness]:
-        live = [(v, q) for v, p in cands if (q := pool & p).bit_count() >= s]
-        need = s - len(chosen)
-        for i in range(len(live) - need + 1):
-            v, q = live[i]
-            if symmetric and not chosen:
-                # swap symmetry: assume the overall minimum vertex sits on the left
-                q &= -1 << (v + 1)
-                if q.bit_count() < s:
-                    continue
-            if need == 1:
-                return HoleWitness(frozenset(chosen + [v]), frozenset(_bits(q)[:s]))
-            found = extend(chosen + [v], q, live[i + 1 :])
-            if found is not None:
-                return found
-        return None
-
-    return extend([], pool0, [(v, ~(adj[v] | 1 << v)) for v in left_vertices])
+        left, pool0 = list(range(graph.n)), (1 << graph.n) - 1
+    cand = np.array([pool0 & ~(adj[v] | 1 << v) for v in left], dtype=np.uint64)
+    above = np.array([pool0 & -1 << (v + 1) for v in left], dtype=np.uint64)
+    col = np.arange(len(left))
+    bit = np.left_shift(np.uint64(1), col.astype(np.uint64))
+    # a frame: depth; per node the pool, chosen left indices as bits, last index
+    stack = [(0, np.array([pool0], dtype=np.uint64), np.zeros(1, np.uint64), np.full(1, -1))]
+    width = 1
+    while stack:
+        depth, pools, chosen, last = stack.pop()
+        if len(pools) > width:
+            stack.append((depth, pools[width:], chosen[width:], last[width:]))
+            pools, chosen, last = pools[:width], chosen[:width], last[:width]
+        width, need = min(2 * width, _EXACT_BLOCK), s - depth
+        lo = int(last.min()) + 1
+        q = pools[:, None] & cand[lo:]
+        live = (np.bitwise_count(q) >= s) & (col[lo:] > last[:, None])
+        rank = np.cumsum(live, axis=1, dtype=np.uint8)  # live candidates up to j
+        keep = live & (rank + (need - 1) <= rank[:, -1:])
+        if not depth and graph.side is None:
+            q &= above  # swap symmetry: the hole's minimum vertex is on the left
+            keep &= np.bitwise_count(q) >= s
+        flat = np.flatnonzero(keep)
+        rows, js = np.divmod(flat, len(left) - lo)
+        js += lo
+        if len(rows) and need == 1:
+            lefts = [left[i] for i in _bits(int(chosen[rows[0]] | bit[js[0]]))]
+            return HoleWitness(frozenset(lefts), frozenset(_bits(int(q.ravel()[flat[0]]))[:s]))
+        if len(rows):
+            stack.append((depth + 1, q.ravel()[flat], chosen[rows] | bit[js], js))
+    return None
 
 
 def _uniforms(rng: np.random.Generator, block: int):
@@ -579,18 +590,7 @@ class TrialReport:
     version: str = field(default=__version__)
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": self.params,
-            "trials": self.trials,
-            "holes": self.holes,
-            "freq": format_rational(self.freq),
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "mode": self.mode,
-            "seed": self.seed,
-            "version": self.version,
-        }
+        return {**asdict(self), "freq": format_rational(self.freq)}
 
 
 def estimate_hole_probability(

@@ -333,6 +333,68 @@ def test_find_hole_exact_caps():
     assert rm.find_hole_exact(Graph.empty(20), 8) is not None
 
 
+def test_exact_vertex_cap_fits_one_word():
+    # the exact search packs each right pool in one uint64
+    assert rm.HOLE_EXACT_VERTEX_CAP <= 64
+
+
+def test_find_hole_exact_matches_plain_search_on_shuffled_classes():
+    """2-class hosts whose classes interleave, so left indices and vertices differ."""
+    holes = empty = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        n1, n2 = rng.randint(4, 14), rng.randint(4, 14)
+        base = rm.sample_bipartite(n1, n2, rng.choice([0.3, 0.5, 0.7]), seed)
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        side = [0] * base.n
+        for v in range(base.n):
+            side[perm[v]] = base.side[v]
+        g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges], side=side)
+        s = rng.randint(1, 4)
+        w = rm.find_hole_exact(g, s)
+        assert w == plain_branch_and_bound(g, s), (seed, s)
+        holes += w is not None
+        empty += w is None
+    assert holes >= 6 and empty >= 6
+
+
+def test_find_hole_exact_uses_the_top_vertex():
+    """A planted hole whose right set holds vertex 59, the pool's highest bit."""
+    for seed in range(6):
+        # vertex 0 on the left: the swap symmetry puts a hole's minimum there
+        picked = random.Random(seed).sample(range(1, 59), 14)
+        left, right = {0, *picked[:7]}, {*picked[7:], 59}
+        g = rm.sample_gnp(60, 0.7, seed)
+        g = Graph(60, [(u, v) for u, v in g.edges
+                       if not (u in left and v in right or u in right and v in left)])
+        w = rm.find_hole_exact(g, 8)
+        assert w == plain_branch_and_bound(g, 8), seed
+        assert 59 in w.right, seed
+
+
+def test_find_hole_exact_matches_plain_search_at_size_one():
+    """s = 1 on 1-class hosts: the root's symmetry mask and the leaf in one step."""
+    holes = empty = 0
+    for seed in range(40):
+        n = 2 + seed % 12
+        g = rm.sample_gnp(n, (0.6, 0.85, 0.95)[seed % 3], seed)
+        w = rm.find_hole_exact(g, 1)
+        assert w == plain_branch_and_bound(g, 1), seed
+        holes += w is not None
+        empty += w is None
+    assert holes >= 10 and empty >= 5
+
+
+def test_find_hole_exact_matches_plain_search_on_sparse_hosts():
+    """Sparse 60-vertex hosts at s = 8, where the first blocks already hold a hole."""
+    for p in (0.05, 0.3):
+        for seed in range(4):
+            g = rm.sample_gnp(60, p, seed)
+            w = rm.find_hole_exact(g, 8)
+            assert w is not None and w == plain_branch_and_bound(g, 8), (p, seed)
+
+
 def test_heuristic_returns_verified_witnesses_only():
     for seed in range(25):
         g = rm.sample_gnp(30, 0.15, seed)
