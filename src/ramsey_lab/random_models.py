@@ -14,18 +14,12 @@ heuristic above it.
 Randomness policy: one generator family (PCG64) behind numpy's Generator,
 and trial i of any experiment draws from the child sequence
 SeedSequence(seed, spawn_key=(i, ...)), so each trial is reproducible on
-its own.  That lets a costly heuristic Monte Carlo spread its trials over
-forked worker processes, one per usable CPU, with results identical to a
-serial loop.
+its own.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import threading
-import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -49,12 +43,9 @@ PAIRING_ATTEMPTS_CAP = 100_000
 #: draws one Monte Carlo runs; the CLI default is 100 x 2000
 MONTE_CARLO_CAP = 10**6
 
-#: restarts of trial 0 that a heuristic Monte Carlo times in its own
-#: process before it decides whether to fork trial workers
-_PROBE_RESTARTS = 8
-#: projected serial time (s) from which the trials run in forked workers;
-#: forking, copy-on-write faults and reaping cost 5-40 ms per call
-_FORK_MIN_SECONDS = 0.1
+#: restarts the heuristic hole search advances in lockstep after restart 0,
+#: which runs alone; its largest array holds 8 bitsets per restart
+_HEURISTIC_BLOCK = 512
 
 #: z for a central 95% normal interval
 _Z95 = 1.959963984540054
@@ -317,30 +308,6 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     return None
 
 
-def _uniforms(rng: np.random.Generator, block: int):
-    """Endless stream of uniforms on [0, 1), drawn from ``rng`` a block at a time."""
-    while True:
-        yield from rng.random(block).tolist()
-
-
-def _draw_bits(pool: int, among: list[int], k: int, draws) -> list[int]:
-    """k distinct uniformly random set bits of ``pool``, in draw order.
-
-    ``among`` lists a superset of the pool's bits; draws from the uniform
-    stream ``draws`` pick from it and are rejected outside the pool.  The
-    pool must hold at least k bits.
-    """
-    out: list[int] = []
-    size = len(among)
-    for x in draws:
-        v = among[int(x * size)]
-        if pool >> v & 1 and v not in out:
-            out.append(v)
-            if len(out) == k:
-                break
-    return out
-
-
 def find_hole_heuristic(
     graph: Graph,
     s: int,
@@ -349,211 +316,100 @@ def find_hole_heuristic(
 ) -> Optional[HoleWitness]:
     """Randomized greedy hole search: one-sided (a miss proves nothing).
 
-    Each restart grows the two sets together, usually extending the
-    currently smaller side with whichever of 8 sampled candidates
-    eliminates the fewest options for the other side.  Pure greedy gets
+    Each restart grows the two sets together, one vertex a step.  The
+    smaller side grows, and a coin picks it when the sides are equal.  40%
+    of the time the new vertex is a uniform vertex of its side's pool;
+    otherwise it is whichever of 8 uniform pool vertices (drawn with
+    repetition) leaves the other side's pool largest.  Pure greedy gets
     systematically stuck (e.g. it splits isolated vertices evenly across
-    the sides even when the only hole needs them together), so side order
-    and candidate choice are each randomized part of the time.
+    the sides even when the only hole needs them together), hence the
+    randomness.  A restart dies as soon as a pool holds fewer vertices than
+    its side still needs; a dead restart still counts as one of the
+    ``iters``.
 
-    The two candidate pools are int bitsets over ``graph.adjacency_bitsets()``
-    and a candidate's damage is a popcount.  A restart ends as soon as a
-    pool holds fewer vertices than its side still needs, since it can no
-    longer finish; such a cut-short restart still counts as one of the
-    ``iters``.  Each restart takes a fresh block of uniforms from the one
-    generator seeded by ``seed``.  Any find is re-verified against the
-    invariants before being returned, and the first verified find in
-    restart order is the result.
+    The restarts run in blocks that advance in lockstep: the first block is
+    restart 0 alone, for hosts where holes are common, and every later
+    block holds ``_HEURISTIC_BLOCK`` restarts (fewer in the last).  A block
+    keeps both pools of each live restart as rows of uint64 bitsets, and a
+    candidate's effect is a popcount of its neighbourhood's complement
+    against the other pool.  Each step of a block draws a (block size, 10)
+    array of uniforms from the one generator seeded by ``seed``, even when
+    the block is the shorter last one or some of its restarts have died,
+    and the block's restart j reads line j.  So restart r depends on
+    (seed, r) alone: a search that finds a hole with ``iters=a`` returns
+    the same witness for every larger ``iters``.  A find is re-verified by
+    ``verify_hole`` before it is returned, and the lowest-index complete
+    restart that passes is the result.
     """
     if s < 1:
         raise ValueError("hole size must be at least 1")
     n = graph.n
     if 2 * s > n:
         return None
-    rng = _rng(seed)
-    adj = graph.adjacency_bitsets()
-    # clearing v from the pool v joins, and v with its neighbours from the other
-    drop_self = [~(1 << v) for v in range(n)]
-    drop_nbrs = [~(a | 1 << v) for v, a in enumerate(adj)]
+    words = -(-n // 64)
+
+    def bitset_rows(masks):
+        data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+        return np.frombuffer(data, "<u8").reshape(-1, words)
 
     if graph.side is not None:
-        base_left, base_right = graph.side_mask(0), graph.side_mask(1)
-        if base_left.bit_count() < s or base_right.bit_count() < s:
+        base = [graph.side_mask(0), graph.side_mask(1)]
+        if min(mask.bit_count() for mask in base) < s:
             return None
     else:
-        base_left = base_right = (1 << n) - 1
-
-    base_left_bits, base_right_bits = _bits(base_left), _bits(base_right)
-    # a restart uses about 10 uniforms per vertex it adds; it draws more if need be
-    block = 16 * s + 32
-    for _ in range(max(1, iters)):
-        draws = _uniforms(rng, block)
-        ok_left, ok_right = base_left, base_right
-        # candidates are drawn uniformly from a list holding each pool and
-        # rejected outside it; a list is re-enumerated once its pool holds
-        # less than a third of it, so at least a third of the draws hit
-        among_left, among_right = base_left_bits, base_right_bits
-        left: list[int] = []
-        right: list[int] = []
-        while len(left) < s or len(right) < s:
-            m_left, m_right = ok_left.bit_count(), ok_right.bit_count()
-            if m_left < s - len(left) or m_right < s - len(right):
-                break
-            if len(left) == s:
-                grow_left = False
-            elif len(right) == s:
-                grow_left = True
-            elif len(left) != len(right):
-                grow_left = len(left) < len(right)
-            else:
-                grow_left = next(draws) < 0.5
-            if grow_left:
-                if 3 * m_left < len(among_left):
-                    among_left = _bits(ok_left)
-                pool, m, among, ok_other = ok_left, m_left, among_left, ok_right
-            else:
-                if 3 * m_right < len(among_right):
-                    among_right = _bits(ok_right)
-                pool, m, among, ok_other = ok_right, m_right, among_right, ok_left
-            if next(draws) < 0.4:
-                (v,) = _draw_bits(pool, among, 1, draws)
-            else:
-                cands = _bits(pool) if m <= 8 else _draw_bits(pool, among, 8, draws)
-                v, least = -1, n + 1
-                for c in cands:
-                    damage = (adj[c] & ok_other).bit_count()
-                    if damage < least:
-                        v, least = c, damage
-            if grow_left:
-                left.append(v)
-                ok_left &= drop_self[v]
-                ok_right &= drop_nbrs[v]
-            else:
-                right.append(v)
-                ok_right &= drop_self[v]
-                ok_left &= drop_nbrs[v]
-        if len(left) == s and len(right) == s:
-            witness = HoleWitness(frozenset(left), frozenset(right))
+        base = [(1 << n) - 1] * 2
+    base = bitset_rows(base)
+    # v joining a side clears v from its own pool, and v with its neighbours from the other
+    clear = ~bitset_rows([1 << v for v in range(n)])
+    drop = ~bitset_rows([a | 1 << v for v, a in enumerate(graph.adjacency_bitsets())])
+    rng = _rng(seed)
+    iters, done = max(1, iters), 0
+    while done < iters:
+        width = _HEURISTIC_BLOCK if done else 1
+        ids = np.arange(min(width, iters - done))  # the block's live restarts
+        pools = np.tile(base, (len(ids), 1))  # rows 2j and 2j + 1: live restart j's pools
+        picks = np.empty((len(ids), 2 * s), np.intp)
+        grew = np.empty((len(ids), 2 * s), bool)  # whether each pick joined the right side
+        for t in range(2 * s):
+            if not t or len(live) != len(ids):
+                live = np.arange(len(ids))
+                row_bit0, even, row8 = 64 * words * live[:, None], 2 * live, 8 * live
+            u = rng.random((width, 10)).take(ids, 0)
+            # the sides are equal before an even step, else the side not grown last is smaller
+            right = u[:, 0] < 0.5 if t % 2 == 0 else ~right
+            own = even + right
+            other = own ^ 1
+            own_pool = pools.take(own, 0)
+            unpacked = np.unpackbits(own_pool.view(np.uint8), bitorder="little")
+            (bits,) = unpacked.view(bool).nonzero()  # bool, for nonzero's fast path
+            m = np.bitwise_count(own_pool).sum(1, dtype=np.intp, keepdims=True)
+            cands = bits.take(m.cumsum(0) - m + (u[:, 2:] * m).astype(np.intp)) - row_bit0
+            after = pools.take(other, 0)[:, None] & drop.take(cands, 0)
+            kept = np.bitwise_count(after).sum(2, dtype=np.intp)
+            pick = row8 + np.where(u[:, 1] < 0.4, 0, kept.argmax(1))  # flat (row, candidate)
+            v = cands.take(pick)
+            pools[own] = own_pool & clear.take(v, 0)
+            pools[other] = after.reshape(-1, words).take(pick, 0)
+            picks[:, t], grew[:, t] = v, right
+            # the own pool lost just v, as its side's need did; the other side needs s - (t+1)//2
+            alive = kept.take(pick) >= s - (t + 1) // 2
+            if not alive.all():
+                ids, right, picks, grew = ids[alive], right[alive], picks[alive], grew[alive]
+                pools = pools.reshape(-1, 2, words)[alive].reshape(-1, words)
+                if not len(ids):
+                    break
+        for vs, sides in zip(picks.tolist(), grew.tolist()):
+            left = frozenset(v for v, r in zip(vs, sides) if not r)
+            witness = HoleWitness(left, frozenset(vs) - left)
             if graph.side is None and min(witness.right) < min(witness.left):
                 witness = HoleWitness(witness.right, witness.left)
             if verify_hole(graph, witness, s):
                 return witness
+        done += width
     return None
 
 
 # ── Monte Carlo estimation ───────────────────────────────────────────────────
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _trial_worker(run_trial, first: int, step: int, trials: int, fd: int) -> None:
-    """Forked child: run trials first, first + step, ... and pickle each outcome to fd.
-
-    An outcome is (True, result) or (False, exception, traceback text); the
-    first failure ends the worker, since no later trial of it can matter.
-    """
-    with os.fdopen(fd, "wb") as out:
-        for i in range(first, trials, step):
-            try:
-                outcome = (True, run_trial(i))
-            except Exception as exc:
-                import traceback
-
-                outcome = (False, exc, traceback.format_exc())
-            out.write(pickle.dumps(outcome))
-            out.flush()
-            if not outcome[0]:
-                return
-
-
-def _map_trials(run_trial, trials: int) -> list:
-    """``[run_trial(i) for i in range(trials)]`` with the trials spread over forked workers.
-
-    With W = min(trials, usable CPUs), this process runs the trials i with
-    i % W == 0 and forks W - 1 workers; worker w runs the trials with
-    i % W == w in increasing order and pickles each result back over its
-    own pipe.  After its own share, this process reads the workers' results
-    in trial order, so the list, and any output made from it, is the same
-    for every W.  If a trial raises, the exception of the lowest-index
-    failing trial is raised here, as the serial loop would; the workers are
-    then killed.  Every worker is reaped before the call returns or raises.
-
-    The loop runs in this process alone when W is 1, ``os.fork`` is
-    missing, other Python threads run (fork is unsafe then), or the system
-    refuses a pipe or a process (OSError).  Python 3.12 and later also
-    count native threads, such as the BLAS pool numpy may start, and then
-    warn (DeprecationWarning) at each fork.
-    """
-    workers = min(trials, _usable_cpus())
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        pids: list[int] = []
-        readers = []
-        complete = False
-        try:
-            try:
-                for w in range(1, workers):
-                    r, wfd = os.pipe()
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        os.close(r)
-                        os.close(wfd)
-                        raise
-                    if pid == 0:
-                        try:
-                            os.close(r)
-                            _trial_worker(run_trial, w, workers, trials, wfd)
-                        finally:
-                            # never return into the caller's stack, flush its buffers or run its atexit
-                            os._exit(0)
-                    os.close(wfd)
-                    pids.append(pid)
-                    readers.append(os.fdopen(r, "rb"))
-            except OSError:
-                pass  # out of processes or memory: the loop below runs the trials here
-            else:
-                own = []  # this process's share, up to its first failure
-                for i in range(0, trials, workers):
-                    try:
-                        own.append(run_trial(i))
-                    except Exception as exc:
-                        failure = exc
-                        break
-                results = []
-                for i in range(trials):
-                    w = i % workers
-                    if w == 0:
-                        if i // workers == len(own):
-                            raise failure
-                        results.append(own[i // workers])
-                        continue
-                    try:
-                        outcome = pickle.load(readers[w - 1])
-                    except EOFError:
-                        # the worker died, or could not pickle the outcome
-                        raise RuntimeError(f"a trial worker ended without reporting trial {i}") from None
-                    if not outcome[0]:
-                        exc, text = outcome[1], outcome[2]
-                        raise exc from RuntimeError(f"trial {i}, in a worker process:\n{text}")
-                    results.append(outcome[1])
-                complete = True
-                return results
-        finally:
-            for f in readers:
-                f.close()
-            if not complete:
-                import signal
-
-                for pid in pids:
-                    os.kill(pid, signal.SIGKILL)
-            for pid in pids:
-                os.waitpid(pid, 0)
-    return [run_trial(i) for i in range(trials)]
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -612,14 +468,9 @@ def estimate_hole_probability(
     simple support of the multigraph, which has the same holes).  ``mode``
     is "exact", "heuristic", or "auto" (exact whenever the caps allow).
     Trial i samples its host from child_seed(seed, i, 0) and seeds the
-    heuristic from child_seed(seed, i, 1).  Exact trials, and heuristic
-    ones with fewer than 4 * ``_PROBE_RESTARTS`` restarts, run one after
-    another in this process.  Before other heuristic runs, this process
-    times trial 0's host and its first ``_PROBE_RESTARTS`` restarts.  If
-    they find a hole, holes are common and trials cheap, so the trials run
-    here.  Otherwise, if all the trials are projected to take
-    ``_FORK_MIN_SECONDS`` or more, they run in forked workers, one per
-    usable CPU (see ``_map_trials``).  The report is the same either way.
+    heuristic from child_seed(seed, i, 1); the trials run one after another
+    in this process, and the heuristic advances each trial's restarts in
+    lockstep blocks (see ``find_hole_heuristic``).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -670,32 +521,13 @@ def estimate_hole_probability(
             return sample_bipartite(n, n, p, sample_seed)
         return sample_pairing(n, d, sample_seed).support_graph()
 
-    def search(g, i: int, restarts: int) -> bool:
+    def run_trial(i: int) -> bool:
+        g = host(i)
         if mode == "exact":
             return find_hole_exact(g, s) is not None
-        return find_hole_heuristic(g, s, iters=restarts, seed=child_seed(seed, i, 1)) is not None
+        return find_hole_heuristic(g, s, iters=iters, seed=child_seed(seed, i, 1)) is not None
 
-    probed = {}  # trial 0's host, once the probe below has drawn it
-
-    def run_trial(i: int) -> bool:
-        return search(probed.pop(i) if i in probed else host(i), i, iters)
-
-    # a probe longer than a quarter of a trial's restarts would cost more than it can tell
-    if mode == "exact" or trials == 1 or iters < 4 * _PROBE_RESTARTS:
-        holes = sum(run_trial(i) for i in range(trials))
-    else:
-        t0 = time.perf_counter()
-        g = probed[0] = host(0)
-        t1 = time.perf_counter()
-        if search(g, 0, _PROBE_RESTARTS):
-            # restarts are a prefix of the full run's, which therefore finds a hole too
-            holes = 1 + sum(run_trial(i) for i in range(1, trials))
-        else:
-            restarts_s = (time.perf_counter() - t1) * iters / _PROBE_RESTARTS
-            if trials * (t1 - t0 + restarts_s) >= _FORK_MIN_SECONDS:
-                holes = sum(_map_trials(run_trial, trials))
-            else:
-                holes = sum(run_trial(i) for i in range(trials))
+    holes = sum(run_trial(i) for i in range(trials))
     ci_low, ci_high = wilson_interval(holes, trials)
     return TrialReport(
         model=model,

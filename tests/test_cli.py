@@ -540,17 +540,6 @@ def test_repeat_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    args = (
-        "simulate", "--model", "gnp", "--N", "24", "--s", "3",
-        "--p", "0.4", "--trials", "16", "--seed", "5",
-    )
-    _, base, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("RAMSEY_LAB_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *args)
-    assert base == threaded
-
-
 # ── reproduce ────────────────────────────────────────────────────────────────
 
 EXPECTED_REPRODUCE_ROWS = [

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-import os
 import random
-import threading
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -468,6 +466,105 @@ def test_heuristic_agrees_with_exact_search():
     assert misses <= 0.05 * cases
 
 
+def lockstep_reference(graph: Graph, s: int, iters: int, seed,
+                       block: int) -> Optional[HoleWitness]:
+    """Reference oracle: the heuristic's rule one restart at a time, on Python ints.
+
+    Blocks of restarts as in ``find_hole_heuristic`` (one restart, then
+    ``block`` at a time); each step of a block draws a (block width, 10)
+    array of uniforms, and restart j of the block reads row j of it.
+    """
+    n = graph.n
+    if 2 * s > n:
+        return None
+    adj = graph.adjacency_bitsets()
+    if graph.side is not None:
+        base = [graph.side_mask(0), graph.side_mask(1)]
+        if min(b.bit_count() for b in base) < s:
+            return None
+    else:
+        base = [(1 << n) - 1] * 2
+    rng = np.random.default_rng(seed)
+    iters, done = max(1, iters), 0
+    while done < iters:
+        width = block if done else 1
+        rows = [(list(base), [[], []]) for _ in range(min(width, iters - done))]
+        live = list(range(len(rows)))
+        for _ in range(2 * s):
+            if not live:
+                break
+            u = rng.random((width, 10))
+            for j in list(live):
+                pools, sets = rows[j]
+                sizes = [len(sets[0]), len(sets[1])]
+                side = int(u[j, 0] < 0.5) if sizes[0] == sizes[1] else int(sizes[0] > sizes[1])
+                members = [v for v in range(n) if pools[side] >> v & 1]
+                cands = [members[int(x * len(members))] for x in u[j, 2:]]
+                kept = [(pools[1 - side] & ~(adj[c] | 1 << c)).bit_count() for c in cands]
+                c = cands[0] if u[j, 1] < 0.4 else cands[kept.index(max(kept))]
+                sets[side].append(c)
+                pools[side] &= ~(1 << c)
+                pools[1 - side] &= ~(adj[c] | 1 << c)
+                if any(pools[k].bit_count() < s - len(sets[k]) for k in (0, 1)):
+                    live.remove(j)
+        for j in live:
+            left, right = (frozenset(x) for x in rows[j][1])
+            if graph.side is None and min(right) < min(left):
+                left, right = right, left
+            if rm.verify_hole(graph, HoleWitness(left, right), s):
+                return HoleWitness(left, right)
+        done += width
+    return None
+
+
+def test_heuristic_matches_the_reference(monkeypatch):
+    """Identical witnesses (or None) to the one-restart-at-a-time oracle.
+
+    With the real block size, and with blocks of 3 so that 10 restarts
+    cross several block boundaries.  About half of the searches find a
+    hole.
+    """
+    finds = misses = 0
+    for block in (rm._HEURISTIC_BLOCK, 3):
+        monkeypatch.setattr(rm, "_HEURISTIC_BLOCK", block)
+        for seed in range(24):
+            if seed % 3 == 0:
+                g, s = rm.sample_bipartite(9, 11, 0.6, seed), 3
+            else:
+                g, s = rm.sample_gnp(24, (0.55, 0.65)[seed % 2], seed), 4
+            for iters in (1, 10):
+                w = rm.find_hole_heuristic(g, s, iters=iters, seed=rm.child_seed(seed, 1))
+                assert w == lockstep_reference(g, s, iters, rm.child_seed(seed, 1), block), (
+                    block, seed, iters)
+                finds += w is not None
+                misses += w is None
+    assert finds >= 30 and misses >= 30
+
+
+def test_heuristic_restart_streams():
+    """Restart r depends on the seed and r alone, so a witness once found stays found.
+
+    Restart 0 runs alone and each later block holds ``_HEURISTIC_BLOCK``
+    restarts.  On each host, the witness that the smallest ``iters`` below
+    finds is returned for every larger ``iters``, whether that cuts the
+    block in which it was found or adds whole blocks after it.  The hosts
+    have their first find in restart 0, in restart 1, inside the first full
+    block and in the block after it.
+    """
+    block = rm._HEURISTIC_BLOCK
+    sizes = (1, 2, 3, block, block + 1, block + 2, 2 * block + 1)
+    hosts = [(40, 0.45, 6, seed) for seed in range(12)] + [(52, 0.42, 8, seed) for seed in (9, 20)]
+    firsts = []
+    for n, p, s, seed in hosts:
+        g = rm.sample_gnp(n, p, seed)
+        found = [rm.find_hole_heuristic(g, s, iters=a, seed=seed) for a in sizes]
+        first = next(i for i, w in enumerate(found) if w is not None)
+        assert rm.verify_hole(g, found[first], s)
+        assert all(w == found[first] for w in found[first:]), (n, seed)
+        firsts.append(sizes[first])
+    assert {1, 2, block, 2 * block + 1} <= set(firsts)
+
+
 # ── Monte Carlo estimation ───────────────────────────────────────────────────
 
 
@@ -521,48 +618,26 @@ def test_estimate_validation():
     assert rm.estimate_hole_probability("gnp", 12, 2, cap // 2000 + 1, 1, p=0.0).holes == 501
 
 
-def _record_forks(monkeypatch) -> list[int]:
-    """Patch os.fork to append each child's pid to the returned list."""
-    forked: list[int] = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forked
-
-
-def _assert_reaped(pids: list[int]) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def _no_fork():
-    raise AssertionError("forked")
-
-
-def _host(model: str, n: int, p: float, seed: int, i: int):
+def _host(model: str, n: int, param, seed: int, i: int):
+    """Trial i's host: drawn from child_seed(seed, i, 0) with p, or degree d for pairing."""
     sample_seed = rm.child_seed(seed, i, 0)
     if model == "gnp":
-        return rm.sample_gnp(n, p, sample_seed)
-    return rm.sample_bipartite(n, n, p, sample_seed)
+        return rm.sample_gnp(n, param, sample_seed)
+    if model == "bipartite":
+        return rm.sample_bipartite(n, n, param, sample_seed)
+    return rm.sample_pairing(n, param, sample_seed).support_graph()
 
 
-def _serial_heuristic_holes(model, n, s, trials, seed, p, iters) -> int:
+def _serial_heuristic_holes(model, n, s, trials, seed, param, iters) -> int:
     """Test-local oracle: heuristic Monte Carlo trials one after another."""
     return sum(
-        rm.find_hole_heuristic(_host(model, n, p, seed, i), s, iters=iters,
+        rm.find_hole_heuristic(_host(model, n, param, seed, i), s, iters=iters,
                                seed=rm.child_seed(seed, i, 1)) is not None
         for i in range(trials)
     )
 
 
-def test_estimate_deterministic_and_worker_invariant(monkeypatch):
+def test_estimate_deterministic_and_seeded_per_trial():
     kw = dict(p=0.4, mode="exact")
     base = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
     again = rm.estimate_hole_probability("gnp", 20, 3, 24, 7, **kw)
@@ -579,127 +654,34 @@ def test_estimate_deterministic_and_worker_invariant(monkeypatch):
     other_seed = rm.estimate_hole_probability("gnp", 20, 3, 24, 8, **kw)
     assert base.holes != other_seed.holes or base.seed != other_seed.seed
 
-    # Heuristic trials whose probe finds no hole run in this process and in
-    # one forked worker per further usable CPU (the zero threshold forks
-    # whatever the projected time), each worker is reaped, and the report
-    # does not depend on their number.  Trial 0's first 8 restarts find no
-    # hole but its 40 do, so the full trial runs after the probe.
-    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", 0.0)
-    forked = _record_forks(monkeypatch)
-    heur = dict(p=0.55, mode="heuristic", iters=40)
-    assert rm.find_hole_heuristic(_host("bipartite", 24, 0.55, 3, 0), 5, iters=8,
-                                  seed=rm.child_seed(3, 0, 1)) is None
-    assert _serial_heuristic_holes("bipartite", 24, 5, 6, 3, 0.55, 40) == 3
-    reports = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
-        forked.clear()
-        rep = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur)
-        assert rep.holes == 3
-        assert len(forked) == cpus - 1
-        _assert_reaped(forked)
-        reports.append(rep.as_dict())
-    assert reports[0] == reports[1] == reports[2]
-
-    # a refused pipe or process, at the first fork or a later one, runs the
-    # trials here; a worker already forked is killed and reaped
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
-    fork = os.fork
-    for refuse_at in (0, 1):
-        calls = []
-
-        def refusing_fork():
-            if len(calls) == refuse_at:
-                raise OSError(11, "Resource temporarily unavailable")
-            pid = fork()
-            if pid:
-                calls.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", refusing_fork)
-        rep = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur)
-        assert rep.as_dict() == reports[0]
-        assert len(calls) == refuse_at
-        _assert_reaped(calls)
-
-    # Nothing forks for exact trials, fewer than 32 restarts, one trial, a
-    # projection under the threshold, a probe that finds a hole (the full
-    # run of trial 0 then finds one too), or another thread running.
-    monkeypatch.setattr(os, "fork", _no_fork)
-    assert rm.estimate_hole_probability("gnp", 20, 3, 24, 7, p=0.75, mode="exact") == half
-    short = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, p=0.55, mode="heuristic",
-                                         iters=31)
-    assert short.holes == _serial_heuristic_holes("bipartite", 24, 5, 6, 3, 0.55, 31)
-    one = rm.estimate_hole_probability("bipartite", 24, 5, 1, 3, **heur)
-    assert one.holes == 1
-    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", math.inf)
-    assert rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur).as_dict() == reports[0]
-    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", 0.0)
-    assert rm.find_hole_heuristic(_host("gnp", 40, 0.6, 3, 0), 5, iters=8,
-                                  seed=rm.child_seed(3, 0, 1)) is not None
-    found = rm.estimate_hole_probability("gnp", 40, 5, 6, 3, p=0.6, mode="heuristic", iters=40)
-    assert found.holes == _serial_heuristic_holes("gnp", 40, 5, 6, 3, 0.6, 40) == 4
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(10,))
-    other.start()
-    try:
-        rep = rm.estimate_hole_probability("bipartite", 24, 5, 6, 3, **heur)
-    finally:
-        release.set()
-        other.join(10)
-    assert not other.is_alive()
-    assert rep.as_dict() == reports[0]
+    # heuristic trials also seed their search from child_seed(seed, i, 1); the
+    # counts lie strictly between 0 and the trials, so a wrong seed would show
+    for model, n, s, param, holes in (("bipartite", 24, 5, 0.5, 5), ("gnp", 40, 5, 0.6, 4),
+                                      ("pairing", 40, 8, 16, 3)):
+        assert _serial_heuristic_holes(model, n, s, 6, 3, param, 40) == holes, model
+        kw = {"d" if model == "pairing" else "p": param}
+        rep = rm.estimate_hole_probability(model, n, s, 6, 3, mode="heuristic", iters=40, **kw)
+        assert rep.holes == holes, model
+        assert rep.as_dict() == rm.estimate_hole_probability(
+            model, n, s, 6, 3, mode="heuristic", iters=40, **kw).as_dict()
 
 
-def test_estimate_trial_errors_match_the_serial_loop(monkeypatch):
-    """The lowest-index failing trial's exception reaches the caller; no worker outlives it.
+def test_estimate_raises_the_lowest_failing_trial(monkeypatch):
+    """The lowest-index failing trial's exception reaches the caller; later trials never run."""
+    ran = []
 
-    Trial 1 fails late, trial 3 fails at once, and trial 2 hangs in a worker
-    until killed, so a caller that raised the first failure to arrive, or
-    waited for every worker, would show here.
-    """
-    caller = os.getpid()
-
-    def search(i, s, iters, seed):
-        if iters == rm._PROBE_RESTARTS:
-            return None  # trial 0's probe: no hole, so the trials may fork
-        if i == 1:
-            time.sleep(0.2)
-            raise ValueError("trial 1 failed")
-        if i == 2 and os.getpid() != caller:
-            time.sleep(60)
-        if i == 3:
-            raise LookupError("trial 3 failed")
+    def search(g, s, iters, seed):
+        i = seed.spawn_key[0]
+        ran.append(i)
+        if i in (1, 3):
+            raise (ValueError if i == 1 else LookupError)(f"trial {i} failed")
         return None
 
-    monkeypatch.setattr(rm, "sample_gnp", lambda n, p, seed: seed.spawn_key[0])
+    monkeypatch.setattr(rm, "sample_gnp", lambda n, p, seed: None)
     monkeypatch.setattr(rm, "find_hole_heuristic", search)
-    monkeypatch.setattr(rm, "_FORK_MIN_SECONDS", 0.0)
-    forked = _record_forks(monkeypatch)
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
-        t0 = time.perf_counter()
-        with pytest.raises(ValueError, match="trial 1 failed"):
-            rm.estimate_hole_probability("gnp", 20, 3, 4, 7, p=0.5, mode="heuristic", iters=40)
-        assert time.perf_counter() - t0 < 10
-        _assert_reaped(forked)
-    assert len(forked) == 3
-
-    # a failure in this process's own share (trials 0 and 2 of 2 CPUs) is
-    # raised in its turn, before a worker's later one
-    def search_own(i, s, iters, seed):
-        if i == 2 and iters != rm._PROBE_RESTARTS:
-            raise ArithmeticError("trial 2 failed")
-        if i == 3:
-            raise LookupError("trial 3 failed")
-        return None
-
-    monkeypatch.setattr(rm, "find_hole_heuristic", search_own)
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
-    with pytest.raises(ArithmeticError, match="trial 2 failed"):
+    with pytest.raises(ValueError, match="trial 1 failed"):
         rm.estimate_hole_probability("gnp", 20, 3, 4, 7, p=0.5, mode="heuristic", iters=40)
-    assert len(forked) == 4
-    _assert_reaped(forked)
+    assert ran == [0, 1]
 
 
 def test_estimate_report_schema():
