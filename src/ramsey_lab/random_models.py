@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -46,9 +47,6 @@ MONTE_CARLO_CAP = 10**6
 #: restarts the heuristic hole search advances in lockstep after restart 0,
 #: which runs alone; its largest array holds 8 bitsets per restart
 _HEURISTIC_BLOCK = 512
-
-#: z for a central 95% normal interval
-_Z95 = 1.959963984540054
 
 
 def _rng(seed: SeedLike) -> np.random.Generator:
@@ -221,7 +219,7 @@ class HoleWitness:
 
 
 def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) -> bool:
-    """Independent re-check of every HoleWitness invariant."""
+    """Independent re-check of every HoleWitness invariant, on the edge list itself."""
     left, right = witness.left, witness.right
     if left & right or len(left) != len(right) or not left:
         return False
@@ -234,11 +232,29 @@ def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) 
         sides_r = {graph.side[v] for v in right}
         if len(sides_l) != 1 or len(sides_r) != 1 or sides_l == sides_r:
             return False
-    adj = graph.adjacency_bitsets()
-    right_mask = 0
-    for v in right:
-        right_mask |= 1 << v
-    return all(adj[u] & right_mask == 0 for u in left)
+    return not any(u in left and v in right or u in right and v in left for u, v in graph.edges)
+
+
+def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hole searches' host table, read from the edge list and class labels.
+
+    uint64 rows with v at bit v % 64 of word v // 64: ``sides[k]`` holds
+    the vertices side k of a hole may use (class k of a 2-class host, else
+    all), ``clear[v]`` all but v, ``drop[v]`` all but v and its neighbours.
+    """
+    n, words = graph.n, -(-graph.n // 64)
+    _check_size("hole search bitset words", n * words)
+    member = np.zeros((2, 64 * words), bool)
+    member[:, :n] = True if graph.side is None else np.array(graph.side) == [[0], [1]]
+    sides = np.packbits(member, axis=1, bitorder="little").view("<u8")
+    v = np.arange(n)
+    bit = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
+    clear = np.full((n, words), ~np.uint64(0))
+    clear[v, v // 64] = ~bit
+    ends = np.fromiter(chain.from_iterable(graph.edges), np.intp).reshape(-1, 2)
+    drop = clear.copy()
+    np.bitwise_and.at(drop.ravel(), ends * words + ends[:, ::-1] // 64, ~bit[ends[:, ::-1]])
+    return sides, clear, drop
 
 
 def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
@@ -258,10 +274,11 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     early hole, and doubles per step up to ``_EXACT_BLOCK`` rows: the stack
     holds at most s frames of ``_EXACT_BLOCK`` times |left| nodes.
 
-    For 2-class hosts the left set ranges over class 0 and the right pool
-    over class 1.  Otherwise a witness swap symmetry lets the first left
-    vertex's pool start above it; that mask narrows the first vertex's own
-    pool only, never the live test of the candidates after it.
+    The left set ranges over ``sides[0]`` of the ``_host_rows`` table and
+    the pools over ``sides[1]`` (classes 0 and 1 of a 2-class host).  With
+    no classes a witness swap symmetry lets the first left vertex's pool
+    start above it; that mask narrows the first vertex's own pool only,
+    never the live test of the candidates after it.
     """
     if graph.n > HOLE_EXACT_VERTEX_CAP:
         raise CapExceededError(
@@ -271,13 +288,12 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
         raise CapExceededError(f"exact hole search capped at size {HOLE_EXACT_SIZE_CAP}, got {s}")
     if s < 1:
         raise ValueError("hole size must be at least 1")
-    adj = graph.adjacency_bitsets()
-    if graph.side is not None:
-        left, pool0 = graph.side_vertices(0), graph.side_mask(1)
-    else:
-        left, pool0 = list(range(graph.n)), (1 << graph.n) - 1
-    cand = np.array([pool0 & ~(adj[v] | 1 << v) for v in left], dtype=np.uint64)
-    above = np.array([pool0 & -1 << (v + 1) for v in left], dtype=np.uint64)
+    if 2 * s > graph.n:
+        return None
+    sides, _, drop = _host_rows(graph)
+    left, pool0 = _bits(int(sides[0, 0])), sides[1, 0]
+    cand = pool0 & drop[left, 0]
+    above = pool0 & -np.left_shift(np.uint64(2), np.array(left, np.uint64))  # bits above v
     col = np.arange(len(left))
     bit = np.left_shift(np.uint64(1), col.astype(np.uint64))
     # a frame: depth; per node the pool, chosen left indices as bits, last index
@@ -328,40 +344,25 @@ def find_hole_heuristic(
     ``iters``.
 
     The restarts run in blocks that advance in lockstep: the first block is
-    restart 0 alone, for hosts where holes are common, and every later
-    block holds ``_HEURISTIC_BLOCK`` restarts (fewer in the last).  A block
-    keeps both pools of each live restart as rows of uint64 bitsets, and a
-    candidate's effect is a popcount of its neighbourhood's complement
-    against the other pool.  Each step of a block draws a (block size, 10)
-    array of uniforms from the one generator seeded by ``seed``, even when
-    the block is the shorter last one or some of its restarts have died,
-    and the block's restart j reads line j.  So restart r depends on
-    (seed, r) alone: a search that finds a hole with ``iters=a`` returns
-    the same witness for every larger ``iters``.  A find is re-verified by
-    ``verify_hole`` before it is returned, and the lowest-index complete
-    restart that passes is the result.
+    restart 0 alone, for hosts where holes are common, and every later block
+    holds ``_HEURISTIC_BLOCK`` restarts (fewer in the last).  A block keeps
+    both pools of each live restart as rows of uint64 bitsets, read from the
+    ``_host_rows`` table, and a candidate's effect is a popcount of its
+    ``drop`` row against the other pool.  Each step of a block draws a
+    (block size, 10) array of uniforms from the one generator seeded by
+    ``seed``, even when the block is the shorter last one or some of its
+    restarts have died, and the block's restart j reads line j.  So restart
+    r depends on (seed, r) alone: a search that finds a hole with
+    ``iters=a`` returns the same witness for every larger ``iters``.  A find
+    is re-verified by ``verify_hole`` before it is returned, and the
+    lowest-index complete restart that passes is the result.
     """
     if s < 1:
         raise ValueError("hole size must be at least 1")
-    n = graph.n
-    if 2 * s > n:
+    if 2 * s > graph.n or graph.side and min(graph.side.count(0), graph.side.count(1)) < s:
         return None
-    words = -(-n // 64)
-
-    def bitset_rows(masks):
-        data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-        return np.frombuffer(data, "<u8").reshape(-1, words)
-
-    if graph.side is not None:
-        base = [graph.side_mask(0), graph.side_mask(1)]
-        if min(mask.bit_count() for mask in base) < s:
-            return None
-    else:
-        base = [(1 << n) - 1] * 2
-    base = bitset_rows(base)
-    # v joining a side clears v from its own pool, and v with its neighbours from the other
-    clear = ~bitset_rows([1 << v for v in range(n)])
-    drop = ~bitset_rows([a | 1 << v for v, a in enumerate(graph.adjacency_bitsets())])
+    base, clear, drop = _host_rows(graph)
+    words = base.shape[1]
     rng = _rng(seed)
     iters, done = max(1, iters), 0
     while done < iters:
@@ -412,10 +413,11 @@ def find_hole_heuristic(
 # ── Monte Carlo estimation ───────────────────────────────────────────────────
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError("need 0 <= successes <= trials with trials >= 1")
+    z = 1.959963984540054  # central 95% normal quantile
     ph = successes / trials
     denom = 1.0 + z * z / trials
     center = ph + z * z / (2 * trials)

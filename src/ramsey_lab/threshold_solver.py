@@ -350,8 +350,6 @@ def exact_first_moment(m: int, c: int, d: int, a: Rational) -> Fraction:
         raise ValueError(
             f"N*d - m*d - a*d*m = {N * d - md - amd} is odd (second leftover stub count)"
         )
-    if (N * d) % 2:
-        raise ValueError(f"N*d = {N * d} is odd (total stub count)")
 
     count = (
         comb(N, m)

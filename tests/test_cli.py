@@ -310,6 +310,10 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
                  id="simulate --iters 1000000000"),
     pytest.param(("simulate", "--model", "pairing", "--N", "60", "--d", "3", "--seed", "1",
                   "--trials", "1000001", "--simple-only"), id="simulate --simple-only"),
+    # a heuristic search table of N * ceil(N/64) uint64 words over BUILD_SIZE_CAP
+    pytest.param(("simulate", "--model", "pairing", "--N", "8002", "--d", "2", "--s", "1",
+                  "--mode", "heuristic", "--trials", "1", "--seed", "1"),
+                 id="simulate --mode heuristic --N 8002"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_oversized_input_is_refused_before_allocation(capsys, argv):
     t0 = time.perf_counter()

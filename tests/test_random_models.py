@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -222,6 +223,7 @@ def test_verify_hole_rules():
     g = Graph(6, [(0, 1), (2, 3)])
     assert rm.verify_hole(g, HoleWitness(frozenset({0, 2}), frozenset({4, 5})))
     assert not rm.verify_hole(g, HoleWitness(frozenset({0}), frozenset({1})))  # edge
+    assert not rm.verify_hole(g, HoleWitness(frozenset({1}), frozenset({0})))  # edge (0, 1)
     assert not rm.verify_hole(g, HoleWitness(frozenset({0}), frozenset({0})))  # overlap
     assert not rm.verify_hole(g, HoleWitness(frozenset({0}), frozenset({4, 5})))  # sizes
     assert not rm.verify_hole(g, HoleWitness(frozenset(), frozenset()))  # empty
@@ -235,6 +237,8 @@ def test_verify_hole_rules():
 
 def test_find_hole_exact_trivia():
     assert rm.find_hole_exact(Graph.complete(8), 1) is None
+    assert rm.find_hole_exact(Graph.empty(0), 1) is None
+    assert rm.find_hole_exact(Graph.empty(8), 5) is None  # 2s > n
     w = rm.find_hole_exact(Graph.empty(8), 4)
     assert w is not None and rm.verify_hole(Graph.empty(8), w, 4)
     # complete bipartite host has no crossing hole, but delete one edge...
@@ -408,8 +412,60 @@ def test_heuristic_trivial_and_degenerate():
     assert rm.find_hole_heuristic(Graph.complete(10), 1, iters=50, seed=0) is None
     bip = rm.sample_bipartite(3, 8, 0.2, 1)
     assert rm.find_hole_heuristic(bip, 4, iters=5, seed=0) is None  # class too small
+    for side in ([0] * 10, [1] * 10):  # an empty class, where a restart would have no pool
+        assert rm.find_hole_heuristic(Graph(10, [], side=side), 2, iters=600, seed=0) is None
     with pytest.raises(ValueError):
         rm.find_hole_heuristic(Graph.empty(4), 0)
+
+
+def test_heuristic_host_table_is_capped_before_it_is_built():
+    """A search table of n * ceil(n/64) words counts against BUILD_SIZE_CAP: 8,000 vertices fit."""
+    big = Graph.empty(8001)  # 8001 * 126 words
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="hole search bitset words"):
+            rm.find_hole_heuristic(big, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one table would take 8 MB
+    g = Graph.empty(8000)  # 8000 * 125 words, exactly the cap
+    w = rm.find_hole_heuristic(g, 1)
+    assert w is not None and rm.verify_hole(g, w, 1)
+
+
+def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
+    """The searches read their own host table and verify_hole reads the edge list.
+
+    With the graph's cached bitsets and class masks made to raise, every
+    search, re-check and Monte Carlo returns what it returns without the
+    patch, so a wrong cached adjacency could not fool a search and its
+    check together.
+    """
+    hosts = [(rm.sample_gnp(24, 0.55, seed), 4) for seed in range(6)]
+    hosts += [(rm.sample_bipartite(9, 11, 0.6, seed), 3) for seed in range(6)]
+    hosts += [(rm.sample_pairing(30, 4, seed).support_graph(), 5) for seed in range(6)]
+    runs = [(model, mode, dict(p=0.3) if model != "pairing" else dict(d=4))
+            for model in ("gnp", "bipartite", "pairing") for mode in ("exact", "heuristic")]
+
+    def results():
+        out = []
+        for i, (g, s) in enumerate(hosts):
+            found = [rm.find_hole_exact(g, s), rm.find_hole_heuristic(g, s, iters=20, seed=i)]
+            crossing = HoleWitness(frozenset(g.edges[0][:1]), frozenset(g.edges[0][1:]))
+            checks = [rm.verify_hole(g, w, s) for w in found if w is not None]
+            out.append((found, checks, rm.verify_hole(g, crossing)))
+        for model, mode, kw in runs:
+            out.append(rm.estimate_hole_probability(model, 16, 3, 4, 7, mode=mode, iters=20, **kw))
+        return out
+
+    expected = results()
+    for name in ("adjacency_bitsets", "side_mask", "side_vertices"):
+        monkeypatch.setattr(Graph, name, lambda *_, name=name: pytest.fail(f"called Graph.{name}"))
+    assert results() == expected
+    finds = [w for found, _, _ in expected[:len(hosts)] for w in found if w is not None]
+    assert len(finds) >= 12 and all(c for _, checks, _ in expected[:len(hosts)] for c in checks)
+    assert {r.holes for r in expected[len(hosts):]} != {0}
 
 
 def test_heuristic_recall_floor_on_exact_holes():

@@ -316,6 +316,8 @@ def test_first_moment_input_validation():
         ts.exact_first_moment(1, 4, 3, 0)
     with pytest.raises(ValueError, match="second leftover"):
         ts.exact_first_moment(1, 3, 3, Fraction(1, 3))
+    with pytest.raises(ValueError):  # N*d = 3 is odd, so a leftover stub count is odd
+        ts.exact_first_moment(1, 3, 1, 0)
     with pytest.raises(ValueError):
         ts.exact_first_moment(0, 4, 2, Fraction(1, 2))
     with pytest.raises(ValueError):
