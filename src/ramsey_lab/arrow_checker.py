@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .constructions import Graph, _bits
+from .constructions import Graph, _bits, _normalized
 from .errors import CapExceededError
 
 #: most steps of work an arrow search takes before it gives up (see _search).
@@ -94,39 +94,8 @@ def parse_targets(text: str) -> tuple[Target, ...]:
 
 
 def has_cycle_length(graph: Graph, length: int) -> bool:
-    """Exact test for a simple cycle on exactly `length` vertices.
-
-    DFS from each start vertex (the cycle's minimum, so each cycle is
-    searched in canonical position once) extending simple paths and
-    closing back to the start at the right length.
-    """
-    if length < 3:
-        raise ValueError(f"cycle length must be >= 3, got {length}")
-    if graph.n > TARGET_VERTEX_CAP:
-        raise CapExceededError(
-            f"cycle search capped at {TARGET_VERTEX_CAP} vertices, host has {graph.n}"
-        )
-    if graph.n < length:
-        return False
-    adj = graph.adjacency_bitsets()
-
-    def extend(start: int, v: int, visited: int, remaining: int) -> bool:
-        if remaining == 0:
-            return bool(adj[v] >> start & 1)
-        # only vertices above the start keep the cycle canonical
-        options = adj[v] & ~visited & (-1 << start)
-        while options:
-            low = options & -options
-            options ^= low
-            u = low.bit_length() - 1
-            if extend(start, u, visited | low, remaining - 1):
-                return True
-        return False
-
-    for start in range(graph.n):
-        if extend(start, start, 1 << start, length - 1):
-            return True
-    return False
+    """Exact test for a simple cycle on exactly `length` vertices."""
+    return class_contains_target(graph.n, graph.edges, CycleTarget(length))
 
 
 def has_biclique(
@@ -135,51 +104,10 @@ def has_biclique(
     m2: int,
     respect_bipartition: bool = False,
 ) -> bool:
-    """Exact test for disjoint sets A (|A|=m1), B (|B|=m2), all cross edges present.
-
-    Enumerates candidate A-sets and checks the common neighborhood; with
-    ``respect_bipartition`` A must lie in class 0 and B in class 1 of the
-    host's labelling.
-    """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("biclique part sizes must be >= 1")
-    if graph.n > TARGET_VERTEX_CAP:
-        raise CapExceededError(
-            f"biclique search capped at {TARGET_VERTEX_CAP} vertices, host has {graph.n}"
-        )
-    adj = graph.adjacency_bitsets()
-    if respect_bipartition:
-        if graph.side is None:
-            raise ValueError("respect_bipartition needs a 2-class labelled host")
-        v0, mask1 = graph.side_vertices(0), graph.side_mask(1)
-        # both orientations of an asymmetric biclique across the classes count
-        if _biclique_fixed_pools(adj, v0, mask1, m1, m2):
-            return True
-        if m1 != m2:
-            return _biclique_fixed_pools(adj, v0, mask1, m2, m1)
-        return False
-    everything = list(range(graph.n))
-    full = (1 << graph.n) - 1
-    return _biclique_fixed_pools(adj, everything, full, m1, m2)
-
-
-def _biclique_fixed_pools(
-    adj: list[int], a_pool: list[int], b_mask: int, m1: int, m2: int
-) -> bool:
-    if len(a_pool) < m1:
-        return False
-    for a_set in combinations(a_pool, m1):
-        common = b_mask
-        for v in a_set:
-            common &= adj[v]
-            if common.bit_count() < m2:
-                break
-        else:
-            for v in a_set:
-                common &= ~(1 << v)
-            if common.bit_count() >= m2:
-                return True
-    return False
+    """Exact test for disjoint sets A (|A|=m1), B (|B|=m2), all cross edges present."""
+    return class_contains_target(
+        graph.n, graph.edges, BicliqueTarget(m1, m2), graph.side, respect_bipartition
+    )
 
 
 def class_contains_target(
@@ -189,13 +117,65 @@ def class_contains_target(
     side=None,
     respect_bipartition: bool = False,
 ) -> bool:
-    """Whole-graph test: does the class with these edges contain `target`?"""
-    sub = Graph(graph_n, class_edges, side=side)
+    """Whole-graph test: does the graph with these edges contain `target`?
+
+    It checks the edges and ``side`` as ``Graph`` does.  A cycle is
+    found by DFS from each start vertex (the cycle's minimum, so each cycle
+    is searched in canonical position once) extending simple paths and
+    closing back to the start at the right length.  A biclique is found by
+    enumerating candidate A-sets and checking their common neighbourhood;
+    with ``respect_bipartition`` A lies in class 0 and B in class 1 of
+    ``side``, in either orientation of an asymmetric biclique.
+    """
+    pairs, side = _normalized(graph_n, class_edges, side)
+    if graph_n > TARGET_VERTEX_CAP:
+        kind = "cycle" if isinstance(target, CycleTarget) else "biclique"
+        raise CapExceededError(
+            f"{kind} search capped at {TARGET_VERTEX_CAP} vertices, host has {graph_n}"
+        )
+    adj = [0] * graph_n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     if isinstance(target, CycleTarget):
-        return has_cycle_length(sub, target.length)
-    return has_biclique(
-        sub, target.m1, target.m2, respect_bipartition=respect_bipartition
-    )
+
+        def extend(start: int, v: int, visited: int, remaining: int) -> bool:
+            if remaining == 0:
+                return bool(adj[v] >> start & 1)
+            # only vertices above the start keep the cycle canonical
+            options = adj[v] & ~visited & (-1 << start)
+            while options:
+                low = options & -options
+                options ^= low
+                u = low.bit_length() - 1
+                if extend(start, u, visited | low, remaining - 1):
+                    return True
+            return False
+
+        # a cycle's minimum leaves length - 1 vertices above it
+        length = target.length
+        starts = range(graph_n - length + 1)
+        return any(extend(start, start, 1 << start, length - 1) for start in starts)
+    m1, m2 = target.m1, target.m2
+    a_pool = b_pool = (1 << graph_n) - 1
+    sizes = {(m1, m2)}
+    if respect_bipartition:
+        if side is None:
+            raise ValueError("respect_bipartition needs a 2-class labelled host")
+        b_pool = sum(1 << v for v, c in enumerate(side) if c)
+        a_pool ^= b_pool
+        sizes.add((m2, m1))
+    # without loops the common neighbourhood of A misses A
+    for s1, s2 in sizes:
+        for a_set in combinations(_bits(a_pool), s1):
+            common = b_pool
+            for v in a_set:
+                common &= adj[v]
+                if common.bit_count() < s2:
+                    break
+            else:
+                return True
+    return False
 
 
 # ── colorings and results ────────────────────────────────────────────────────

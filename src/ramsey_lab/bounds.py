@@ -77,9 +77,6 @@ class LinearForm:
     b: int
     c: int
 
-    def evaluate(self, m1: int, m2: int) -> int:
-        return self.a * m1 + self.b * m2 + self.c
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 

@@ -57,6 +57,26 @@ def binary_decomposition(n: int) -> list[int]:
 # ── simple graphs ────────────────────────────────────────────────────────────
 
 
+def _normalized(n: int, edges, side=None, simple: bool = True):
+    """Every edge as (min, max) in input order, and ``side`` as a tuple.
+
+    The input checks of a graph on vertices 0..n-1: ends in range, no loop
+    when ``simple``, and ``side`` (when given) one 0 or 1 per vertex.
+    """
+    pairs = []
+    for u, v in edges:
+        if simple and u == v:
+            raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        pairs.append((u, v) if u < v else (v, u))
+    if side is not None:
+        side = tuple(int(s) for s in side)
+        if len(side) != n or any(s not in (0, 1) for s in side):
+            raise ValueError("side must assign 0 or 1 to every vertex")
+    return pairs, side
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1 with optional 2-class labels.
 
@@ -75,20 +95,10 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
+        pairs, self.side = _normalized(n, edges, side)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        if side is not None:
-            side = tuple(int(s) for s in side)
-            if len(side) != n or any(s not in (0, 1) for s in side):
-                raise ValueError("side must assign 0 or 1 to every vertex")
-        self.side = side
+        # sort, then drop repeats: a sampler's edges arrive sorted, which sorts in linear time
+        self.edges: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(sorted(pairs)))
         self._adj: Optional[list[int]] = None
 
     # -- basic queries ------------------------------------------------------
@@ -110,14 +120,11 @@ class Graph:
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adjacency_bitsets()]
 
-    def side_vertices(self, s: int) -> list[int]:
-        if self.side is None:
-            raise ValueError("graph carries no 2-class labelling")
-        return [v for v in range(self.n) if self.side[v] == s]
-
     def side_mask(self, s: int) -> int:
         """The vertices of class s as an int bitmask."""
-        return sum(1 << v for v in self.side_vertices(s))
+        if self.side is None:
+            raise ValueError("graph carries no 2-class labelling")
+        return sum(1 << v for v, c in enumerate(self.side) if c == s)
 
     def __eq__(self, other) -> bool:
         return (
@@ -141,8 +148,7 @@ class Graph:
 
     @classmethod
     def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        edges = [(u, a + v) for u in range(a) for v in range(b)]
-        return cls(a + b, edges, side=[0] * a + [1] * b)
+        return build_complete_multipartite([a, b])
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
@@ -151,10 +157,6 @@ class Graph:
         edges = [(i, (i + 1) % n) for i in range(n)]
         side = [i % 2 for i in range(n)] if n % 2 == 0 else None
         return cls(n, edges, side=side)
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, [])
 
 
 def _bits(mask: int) -> list[int]:

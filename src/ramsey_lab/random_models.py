@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bounds import format_rational
 from .errors import CapExceededError
-from .constructions import Graph, _bits, _check_size
+from .constructions import Graph, _bits, _check_size, _normalized
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -76,12 +76,7 @@ class Multigraph:
 
     def __init__(self, n: int, edges):
         self.n = n
-        norm = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            norm.append((u, v) if u <= v else (v, u))
-        self.edges = tuple(sorted(norm))
+        self.edges = tuple(sorted(_normalized(n, edges, simple=False)[0]))
 
     @property
     def edge_count(self) -> int:
@@ -235,6 +230,22 @@ def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) 
     return not any(u in left and v in right or u in right and v in left for u, v in graph.edges)
 
 
+def _host_words(n: int) -> int:
+    """Words per row of the hole searches' host table, whose n rows must fit the build cap."""
+    words = -(-n // 64)
+    _check_size("hole search bitset words", n * words)
+    return words
+
+
+def _check_exact_caps(n: int, s: int) -> None:
+    if n > HOLE_EXACT_VERTEX_CAP:
+        raise CapExceededError(
+            f"exact hole search capped at {HOLE_EXACT_VERTEX_CAP} vertices, host has {n}"
+        )
+    if s > HOLE_EXACT_SIZE_CAP:
+        raise CapExceededError(f"exact hole search capped at size {HOLE_EXACT_SIZE_CAP}, got {s}")
+
+
 def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The hole searches' host table, read from the edge list and class labels.
 
@@ -242,8 +253,7 @@ def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the vertices side k of a hole may use (class k of a 2-class host, else
     all), ``clear[v]`` all but v, ``drop[v]`` all but v and its neighbours.
     """
-    n, words = graph.n, -(-graph.n // 64)
-    _check_size("hole search bitset words", n * words)
+    n, words = graph.n, _host_words(graph.n)
     member = np.zeros((2, 64 * words), bool)
     member[:, :n] = True if graph.side is None else np.array(graph.side) == [[0], [1]]
     sides = np.packbits(member, axis=1, bitorder="little").view("<u8")
@@ -280,12 +290,7 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     start above it; that mask narrows the first vertex's own pool only,
     never the live test of the candidates after it.
     """
-    if graph.n > HOLE_EXACT_VERTEX_CAP:
-        raise CapExceededError(
-            f"exact hole search capped at {HOLE_EXACT_VERTEX_CAP} vertices, host has {graph.n}"
-        )
-    if s > HOLE_EXACT_SIZE_CAP:
-        raise CapExceededError(f"exact hole search capped at size {HOLE_EXACT_SIZE_CAP}, got {s}")
+    _check_exact_caps(graph.n, s)
     if s < 1:
         raise ValueError("hole size must be at least 1")
     if 2 * s > graph.n:
@@ -514,6 +519,11 @@ def estimate_hole_probability(
         raise CapExceededError(
             f"hole searches: {searches} is over the Monte Carlo cap of {MONTE_CARLO_CAP}"
         )
+    # the chosen search's own size checks, on the host's vertex count, before any host is drawn
+    if mode == "exact":
+        _check_exact_caps(host_vertices, s)
+    else:
+        _host_words(host_vertices)
 
     def host(i: int):
         sample_seed = child_seed(seed, i, 0)

@@ -64,7 +64,7 @@ def test_has_cycle_length_basics():
     assert ac.has_cycle_length(k4, 3)
     assert ac.has_cycle_length(k4, 4)
     assert not ac.has_cycle_length(k4, 5)  # not enough vertices
-    assert not ac.has_cycle_length(Graph.empty(6), 3)
+    assert not ac.has_cycle_length(Graph(6, []), 3)
 
 
 def test_has_cycle_length_petersen():
@@ -81,8 +81,8 @@ def test_has_cycle_length_validation_and_cap():
     with pytest.raises(ValueError):
         ac.has_cycle_length(Graph.complete(4), 2)
     with pytest.raises(CapExceededError):
-        ac.has_cycle_length(Graph.empty(21), 3)
-    assert not ac.has_cycle_length(Graph.empty(20), 3)
+        ac.has_cycle_length(Graph(21, []), 3)
+    assert not ac.has_cycle_length(Graph(20, []), 3)
 
 
 def brute_force_has_cycle(graph: Graph, length: int) -> bool:
@@ -124,7 +124,7 @@ def test_has_biclique_basics():
     with pytest.raises(ValueError):
         ac.has_biclique(c6, 0, 2)
     with pytest.raises(CapExceededError):
-        ac.has_biclique(Graph.empty(21), 1, 1)
+        ac.has_biclique(Graph(21, []), 1, 1)
 
 
 def test_has_biclique_respects_and_flips_orientation():
@@ -154,6 +154,39 @@ def test_has_biclique_matches_brute_force():
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
         for m1, m2 in [(1, 1), (1, 2), (2, 2), (2, 3)]:
             assert ac.has_biclique(g, m1, m2) == brute_force_has_biclique(g, m1, m2)
+
+
+def test_has_biclique_across_classes_matches_brute_force():
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(2, 8)
+        side = [rng.randint(0, 1) for _ in range(n)]
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.6], side)
+        cls = [[v for v in range(n) if side[v] == k] for k in (0, 1)]
+        for m1, m2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
+            want = any(
+                all(has_edge(g, u, v) for u in a_set for v in b_set)
+                for p, q in ((m1, m2), (m2, m1))
+                for a_set in combinations(cls[0], p)
+                for b_set in combinations(cls[1], q)
+            )
+            assert ac.has_biclique(g, m1, m2, respect_bipartition=True) == want
+
+
+def test_class_contains_target_checks_its_input():
+    c3, k11 = CycleTarget(3), BicliqueTarget(1, 1)
+    with pytest.raises(ValueError, match="loop"):
+        ac.class_contains_target(3, ((1, 1),), c3)
+    with pytest.raises(ValueError, match="out of range"):
+        ac.class_contains_target(3, ((0, 3),), c3)
+    with pytest.raises(ValueError, match="side"):
+        ac.class_contains_target(3, ((0, 1),), k11, side=(0, 1), respect_bipartition=True)
+    with pytest.raises(CapExceededError, match="capped at 20 vertices"):
+        ac.class_contains_target(21, ((0, 1),), c3)
+    with pytest.raises(CapExceededError, match="capped at 20 vertices"):
+        ac.class_contains_target(21, ((0, 1),), k11)
+    assert not ac.class_contains_target(20, ((0, 1),), c3)
+    assert ac.class_contains_target(20, ((0, 1),), k11, side=[0, 1] * 10, respect_bipartition=True)
 
 
 # ── colorings ────────────────────────────────────────────────────────────────
@@ -205,6 +238,18 @@ def test_arrows_complete_hosts_diagonal_triangle():
     assert not ac.arrows(Graph.complete(3), t).arrows
 
 
+def test_arrow_searches_build_no_graph(monkeypatch):
+    """The search and its witness check read the colour classes as edge lists."""
+    k5, k44 = Graph.complete(5), Graph.complete_bipartite(4, 4)
+    monkeypatch.setattr(Graph, "__init__", lambda *_, **__: pytest.fail("built a Graph"))
+    cycles, bicliques = (CycleTarget(3),) * 2, (BicliqueTarget(2, 2),) * 2
+    r = ac.arrows(k5, cycles)
+    assert not r.arrows and ac.verify_coloring_avoids_targets(r.witness, cycles)
+    r = ac.bipartite_arrows(k44, bicliques)
+    assert not r.arrows
+    assert ac.verify_coloring_avoids_targets(r.witness, bicliques, respect_bipartition=True)
+
+
 def test_arrows_off_diagonal_cycles():
     t = (CycleTarget(3), CycleTarget(4))
     assert ac.arrows(Graph.complete(7), t).arrows
@@ -213,7 +258,7 @@ def test_arrows_off_diagonal_cycles():
 
 def test_arrows_trivia():
     # an empty host is good-colorable vacuously; a single edge is not
-    r = ac.arrows(Graph.empty(4), (CycleTarget(3), CycleTarget(3)))
+    r = ac.arrows(Graph(4, []), (CycleTarget(3), CycleTarget(3)))
     assert not r.arrows and r.witness.colors == ()
     one = Graph(2, [(0, 1)])
     r = ac.arrows(one, (BicliqueTarget(1, 1), BicliqueTarget(1, 1)))
@@ -415,7 +460,7 @@ def test_arrows_vertex_cap_applies_to_hosts_with_edges():
     path = Graph(22, [(i, i + 1) for i in range(21)])
     with pytest.raises(CapExceededError, match="22"):
         ac.arrows(path, (CycleTarget(3), CycleTarget(3)))
-    r = ac.arrows(Graph.empty(25), (CycleTarget(3), CycleTarget(3)))
+    r = ac.arrows(Graph(25, []), (CycleTarget(3), CycleTarget(3)))
     assert not r.arrows and r.witness.colors == () and r.colorings_examined == 0
 
 

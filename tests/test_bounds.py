@@ -28,7 +28,8 @@ from ramsey_lab.constructions import ceil_log2
 
 def test_base_form():
     assert ramsey_linear_form(1).as_tuple() == (33, 49, 0)
-    assert ramsey_linear_form(1).evaluate(2, 1) == 115
+    form = ramsey_linear_form(1)
+    assert form.a * 2 + form.b * 1 + form.c == 115
 
 
 def test_step2_coefficients_frozen():
@@ -38,7 +39,7 @@ def test_step2_coefficients_frozen():
 def test_step2_diagonal_closed_form():
     form = ramsey_linear_form(2)
     for m in range(1, 1001):
-        assert form.evaluate(m, m) == 95412 * m - 1617
+        assert form.a * m + form.b * m + form.c == 95412 * m - 1617
 
 
 def test_literal_recursion_matches_coefficients():
@@ -47,7 +48,7 @@ def test_literal_recursion_matches_coefficients():
         form = ramsey_linear_form(t)
         for _ in range(25):
             m1, m2 = rng.randint(1, 60), rng.randint(1, 60)
-            assert eval_ramsey_form(t, m1, m2) == form.evaluate(m1, m2)
+            assert eval_ramsey_form(t, m1, m2) == form.a * m1 + form.b * m2 + form.c
 
 
 def test_single_evaluation_frozen():

@@ -314,6 +314,13 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
     pytest.param(("simulate", "--model", "pairing", "--N", "8002", "--d", "2", "--s", "1",
                   "--mode", "heuristic", "--trials", "1", "--seed", "1"),
                  id="simulate --mode heuristic --N 8002"),
+    # the search's own caps refuse a 500,000-vertex host before the pairing draw
+    pytest.param(("simulate", "--model", "pairing", "--N", "500000", "--d", "2", "--s", "1",
+                  "--mode", "heuristic", "--trials", "1", "--seed", "1"),
+                 id="simulate --mode heuristic --N 500000"),
+    pytest.param(("simulate", "--model", "pairing", "--N", "500000", "--d", "2", "--s", "1",
+                  "--mode", "exact", "--trials", "1", "--seed", "1"),
+                 id="simulate --mode exact --N 500000"),
 ], ids=lambda argv: " ".join(argv[:3]))
 def test_oversized_input_is_refused_before_allocation(capsys, argv):
     t0 = time.perf_counter()

@@ -86,8 +86,10 @@ def test_graph_constructors():
 
     k23 = Graph.complete_bipartite(2, 3)
     assert k23.edge_count == 6
-    assert k23.side_vertices(0) == [0, 1]
-    assert k23.side_vertices(1) == [2, 3, 4]
+    assert k23.side_mask(0) == 0b00011
+    assert k23.side_mask(1) == 0b11100
+    with pytest.raises(ValueError, match="positive"):  # as for M0x3: a class may not be empty
+        Graph.complete_bipartite(0, 3)
 
     c6 = Graph.cycle(6)
     assert c6.edge_count == 6
@@ -97,9 +99,9 @@ def test_graph_constructors():
     with pytest.raises(ValueError):
         Graph.cycle(2)
 
-    assert Graph.empty(4).edge_count == 0
+    assert Graph(4, []).edge_count == 0
     with pytest.raises(ValueError):
-        Graph.empty(4).side_vertices(0)
+        Graph(4, []).side_mask(0)
 
 
 def test_graph_equality_and_with_edge():
@@ -582,7 +584,7 @@ def test_serialize_tree_matches_loop_formatter():
 
 
 def test_serialize_graph_and_edge_list_match_loop_formatter():
-    for g in (Graph.empty(0), Graph.empty(3)):
+    for g in (Graph(0, []), Graph(3, [])):
         assert cons.serialize_graph(g) == reference_edge_list(g.n, g.edges) == f"{g.n} 0\n"
         assert cons.serialize_edge_list(g.n, []) == f"{g.n} 0\n"
     rng = random.Random(7)

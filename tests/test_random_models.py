@@ -33,7 +33,7 @@ def test_gnp_deterministic_per_seed():
 
 
 def test_gnp_extremes():
-    assert rm.sample_gnp(12, 0.0, 1) == Graph.empty(12)
+    assert rm.sample_gnp(12, 0.0, 1) == Graph(12, [])
     assert rm.sample_gnp(12, 1.0, 1) == Graph.complete(12)
     with pytest.raises(ValueError):
         rm.sample_gnp(0, 0.5, 1)
@@ -166,8 +166,8 @@ def test_pairing_simple_acceptance_rate():
 def brute_force_has_hole(graph: Graph, s: int) -> bool:
     """Reference oracle: every (left, right) pair of disjoint s-sets."""
     if graph.side is not None:
-        lefts = combinations(graph.side_vertices(0), s)
-        rights = list(combinations(graph.side_vertices(1), s))
+        lefts = combinations([v for v in range(graph.n) if graph.side[v] == 0], s)
+        rights = list(combinations([v for v in range(graph.n) if graph.side[v] == 1], s))
         for left in lefts:
             for right in rights:
                 if not any(has_edge(graph, u, v) for u in left for v in right):
@@ -191,8 +191,8 @@ def plain_branch_and_bound(graph: Graph, s: int) -> Optional[HoleWitness]:
     """
     adj = graph.adjacency_bitsets()
     if graph.side is not None:
-        lefts = graph.side_vertices(0)
-        pool0 = sum(1 << v for v in graph.side_vertices(1))
+        lefts = [v for v in range(graph.n) if graph.side[v] == 0]
+        pool0 = sum(1 << v for v in range(graph.n) if graph.side[v] == 1)
     else:
         lefts = list(range(graph.n))
         pool0 = (1 << graph.n) - 1
@@ -237,10 +237,10 @@ def test_verify_hole_rules():
 
 def test_find_hole_exact_trivia():
     assert rm.find_hole_exact(Graph.complete(8), 1) is None
-    assert rm.find_hole_exact(Graph.empty(0), 1) is None
-    assert rm.find_hole_exact(Graph.empty(8), 5) is None  # 2s > n
-    w = rm.find_hole_exact(Graph.empty(8), 4)
-    assert w is not None and rm.verify_hole(Graph.empty(8), w, 4)
+    assert rm.find_hole_exact(Graph(0, []), 1) is None
+    assert rm.find_hole_exact(Graph(8, []), 5) is None  # 2s > n
+    w = rm.find_hole_exact(Graph(8, []), 4)
+    assert w is not None and rm.verify_hole(Graph(8, []), w, 4)
     # complete bipartite host has no crossing hole, but delete one edge...
     kb = Graph.complete_bipartite(3, 3)
     assert rm.find_hole_exact(kb, 1) is None
@@ -325,14 +325,14 @@ def test_find_hole_exact_finds_planted_holes(plant_hole):
 
 def test_find_hole_exact_caps():
     with pytest.raises(CapExceededError):
-        rm.find_hole_exact(Graph.empty(61), 2)
+        rm.find_hole_exact(Graph(61, []), 2)
     with pytest.raises(CapExceededError):
-        rm.find_hole_exact(Graph.empty(20), 9)
+        rm.find_hole_exact(Graph(20, []), 9)
     with pytest.raises(ValueError):
-        rm.find_hole_exact(Graph.empty(20), 0)
+        rm.find_hole_exact(Graph(20, []), 0)
     # hosts and holes exactly at the caps are searched
-    assert rm.find_hole_exact(Graph.empty(60), 2) is not None
-    assert rm.find_hole_exact(Graph.empty(20), 8) is not None
+    assert rm.find_hole_exact(Graph(60, []), 2) is not None
+    assert rm.find_hole_exact(Graph(20, []), 8) is not None
 
 
 def test_exact_vertex_cap_fits_one_word():
@@ -406,21 +406,21 @@ def test_heuristic_returns_verified_witnesses_only():
 
 
 def test_heuristic_trivial_and_degenerate():
-    w = rm.find_hole_heuristic(Graph.empty(10), 5, iters=1, seed=0)
+    w = rm.find_hole_heuristic(Graph(10, []), 5, iters=1, seed=0)
     assert w is not None
-    assert rm.find_hole_heuristic(Graph.empty(10), 6, iters=5, seed=0) is None  # 2s > n
+    assert rm.find_hole_heuristic(Graph(10, []), 6, iters=5, seed=0) is None  # 2s > n
     assert rm.find_hole_heuristic(Graph.complete(10), 1, iters=50, seed=0) is None
     bip = rm.sample_bipartite(3, 8, 0.2, 1)
     assert rm.find_hole_heuristic(bip, 4, iters=5, seed=0) is None  # class too small
     for side in ([0] * 10, [1] * 10):  # an empty class, where a restart would have no pool
         assert rm.find_hole_heuristic(Graph(10, [], side=side), 2, iters=600, seed=0) is None
     with pytest.raises(ValueError):
-        rm.find_hole_heuristic(Graph.empty(4), 0)
+        rm.find_hole_heuristic(Graph(4, []), 0)
 
 
 def test_heuristic_host_table_is_capped_before_it_is_built():
     """A search table of n * ceil(n/64) words counts against BUILD_SIZE_CAP: 8,000 vertices fit."""
-    big = Graph.empty(8001)  # 8001 * 126 words
+    big = Graph(8001, [])  # 8001 * 126 words
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="hole search bitset words"):
@@ -429,7 +429,7 @@ def test_heuristic_host_table_is_capped_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # one table would take 8 MB
-    g = Graph.empty(8000)  # 8000 * 125 words, exactly the cap
+    g = Graph(8000, [])  # 8000 * 125 words, exactly the cap
     w = rm.find_hole_heuristic(g, 1)
     assert w is not None and rm.verify_hole(g, w, 1)
 
@@ -460,7 +460,7 @@ def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
         return out
 
     expected = results()
-    for name in ("adjacency_bitsets", "side_mask", "side_vertices"):
+    for name in ("adjacency_bitsets", "side_mask"):
         monkeypatch.setattr(Graph, name, lambda *_, name=name: pytest.fail(f"called Graph.{name}"))
     assert results() == expected
     finds = [w for found, _, _ in expected[:len(hosts)] for w in found if w is not None]
@@ -672,6 +672,19 @@ def test_estimate_validation():
     with pytest.raises(CapExceededError, match="Monte Carlo cap"):
         rm.estimate_hole_probability("gnp", 12, 2, cap + 1, 1, p=0.5, mode="exact")
     assert rm.estimate_hole_probability("gnp", 12, 2, cap // 2000 + 1, 1, p=0.0).holes == 501
+
+
+def test_estimate_refuses_an_oversized_search_before_sampling(monkeypatch):
+    for name in ("sample_gnp", "sample_bipartite", "sample_pairing"):
+        monkeypatch.setattr(rm, name, lambda *_, **__: pytest.fail("sampled a host"))
+    with pytest.raises(CapExceededError, match="exact hole search capped at 60 vertices"):
+        rm.estimate_hole_probability("gnp", 61, 2, 1, 1, p=0.5, mode="exact")
+    with pytest.raises(CapExceededError, match="exact hole search capped at size 8"):
+        rm.estimate_hole_probability("gnp", 40, 9, 1, 1, p=0.5, mode="exact")
+    with pytest.raises(CapExceededError, match="hole search bitset words"):  # 8,002 vertices
+        rm.estimate_hole_probability("bipartite", 4001, 1, 1, 1, p=0.5, mode="heuristic")
+    with pytest.raises(CapExceededError, match="hole search bitset words"):
+        rm.estimate_hole_probability("pairing", 500000, 1, 1, 1, d=2)
 
 
 def _host(model: str, n: int, param, seed: int, i: int):
