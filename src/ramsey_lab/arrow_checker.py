@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Union
 
-from .constructions import Graph, _bits, _normalized
+from .constructions import Graph, _bits, _checked_side
 from .errors import CapExceededError
 
 #: most steps of work an arrow search takes before it gives up (see _search).
@@ -127,14 +127,18 @@ def class_contains_target(
     with ``respect_bipartition`` A lies in class 0 and B in class 1 of
     ``side``, in either orientation of an asymmetric biclique.
     """
-    pairs, side = _normalized(graph_n, class_edges, side)
+    side = _checked_side(graph_n, side)
     if graph_n > TARGET_VERTEX_CAP:
         kind = "cycle" if isinstance(target, CycleTarget) else "biclique"
         raise CapExceededError(
             f"{kind} search capped at {TARGET_VERTEX_CAP} vertices, host has {graph_n}"
         )
     adj = [0] * graph_n
-    for u, v in pairs:
+    for u, v in class_edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
+        if not (0 <= u < graph_n and 0 <= v < graph_n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={graph_n}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     if isinstance(target, CycleTarget):

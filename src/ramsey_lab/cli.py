@@ -260,15 +260,23 @@ def cmd_construct(args) -> str:
 # ── arrow ────────────────────────────────────────────────────────────────────
 
 
+def _check_host_vertices(token: str, n: int, m: int) -> None:
+    cap = TARGET_VERTEX_CAP if m > 0 else BUILD_SIZE_CAP
+    if n > cap:
+        raise CapExceededError(f"host {token} has {n} vertices, capped at {cap} vertices")
+
+
 def _host_from_token(token: str) -> Graph:
     """K6, K3x3, C8, M2x2x1 generators, or @path to read an edge list.
 
-    A generated host is sized from the token's numbers before it is built:
+    A host is sized before it is built (from the token) or searched (a file):
     it may have TARGET_VERTEX_CAP vertices with an edge, BUILD_SIZE_CAP without.
     """
     if token.startswith("@"):
         with open(token[1:], "r", encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
+            host = parse_edge_list(fh.read())
+        _check_host_vertices(token, host.n, host.edge_count)
+        return host
     kind, rest = token[:1].upper(), token[1:].lower()
     if kind not in ("K", "C", "M"):
         raise ValueError(
@@ -284,9 +292,7 @@ def _host_from_token(token: str) -> Graph:
             sizes = [int(t) for t in (rest.split("x") if kind == "M" else rest.partition("x")[::2])]
             n = sum(sizes)
             m = (n * n - sum(s * s for s in sizes)) // 2
-        cap = TARGET_VERTEX_CAP if m > 0 else BUILD_SIZE_CAP
-        if n > cap:
-            raise CapExceededError(f"host {token} has {n} vertices, over the cap of {cap}")
+        _check_host_vertices(token, n, m)
         if kind == "C":
             return Graph.cycle(n)
         if kind == "M":

@@ -10,8 +10,8 @@ Two tree builders drive everything:
   by a path sized so that every (first-leaf-set, second-leaf-set) pair is
   at distance exactly n-1.
 
-Also here: the shared simple-graph type used by the random models and the
-arrow checker, complete multipartite hosts, and the plain-text edge-list
+Also here: the multigraph and simple-graph types the random models and the
+arrow checker share, complete multipartite hosts, and the plain-text edge-list
 serialisation every command shares.  Every builder checks the size its
 arguments ask for against ``BUILD_SIZE_CAP`` before it allocates.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -54,71 +54,93 @@ def binary_decomposition(n: int) -> list[int]:
     return [k for k in range(n.bit_length() - 1, -1, -1) if n >> k & 1]
 
 
-# ── simple graphs ────────────────────────────────────────────────────────────
+# ── graphs and multigraphs ──────────────────────────────────────────────────
 
 
-def _normalized(n: int, edges, side=None, simple: bool = True):
-    """Every edge as (min, max) in input order, and ``side`` as a tuple.
+def _normalized(n: int, edges: Iterable, simple: bool) -> np.ndarray:
+    """The canonical read-only (m, 2) int64 array of edges on vertices 0..n-1.
 
-    The input checks of a graph on vertices 0..n-1: ends in range, no loop
-    when ``simple``, and ``side`` (when given) one 0 or 1 per vertex.
+    ``edges`` is an (m, 2) integer array or an iterable of (u, v) pairs; the
+    rows are (min, max), sorted.  When ``simple``, loops are refused and repeats dropped.
     """
-    pairs = []
-    for u, v in edges:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if ends.size and (ends.shape[1:] != (2,) or ends.dtype.kind not in "iu" or ends.max() >= 2**63):
+        raise ValueError(f"edges must be (u, v) pairs of int64 ids, not {ends.dtype} {ends.shape}")
+    u, v = ends.reshape(-1, 2).astype(np.int64).T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= n) | simple & (lo == hi)
+    if bad.any():
+        u, v = ends[bad.argmax()].tolist()
         if simple and u == v:
             raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        pairs.append((u, v) if u < v else (v, u))
-    if side is not None:
-        side = tuple(int(s) for s in side)
-        if len(side) != n or any(s not in (0, 1) for s in side):
-            raise ValueError("side must assign 0 or 1 to every vertex")
-    return pairs, side
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    keep = np.ones(len(lo), bool)
+    if simple:
+        keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    ends = np.column_stack((lo[keep], hi[keep]))
+    ends.flags.writeable = False
+    return ends
 
 
-class Graph:
-    """Immutable simple graph on vertices 0..n-1 with optional 2-class labels.
+def _checked_side(n: int, side: Optional[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """``side`` as a tuple of ints, after checking that it gives each of n vertices 0 or 1."""
+    if side is not None and (len(side) != n or any(s not in (0, 1) for s in side)):
+        raise ValueError("side must assign 0 or 1 to every vertex")
+    return None if side is None else tuple(map(int, side))
+
+
+class Multigraph:
+    """Immutable multigraph on vertices 0..n-1; a loop adds 2 to its vertex's degree.
+
+    ``ends``, the array of ``_normalized``, is the one edge store; ``edges``
+    holds its rows as a tuple of (u, v) pairs, built on first use.
+    """
+
+    __slots__ = ("n", "ends", "_edges")
+    _simple = False
+
+    def __init__(self, n: int, edges: Iterable):
+        self.n, self.ends, self._edges = n, _normalized(n, edges, self._simple), None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.ends.tolist()))
+        return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.ends)
+
+    def degrees(self) -> list[int]:
+        return np.bincount(self.ends.ravel(), minlength=self.n).tolist()
+
+    def support_graph(self) -> "Graph":
+        """Simple graph on the same vertices: loops dropped, multiplicities collapsed."""
+        return Graph(self.n, self.ends[self.ends[:, 0] != self.ends[:, 1]])
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(n={self.n}, edges={self.edge_count})"
+
+
+class Graph(Multigraph):
+    """Immutable simple graph (loops refused, repeats dropped) with optional 2-class labels.
 
     ``side`` (when present) assigns each vertex 0 or 1; bipartite-aware
     code (crossing-hole search, class-respecting biclique containment)
     uses it, everything else ignores it.
     """
 
-    __slots__ = ("n", "edges", "side", "_adj")
+    __slots__ = ("side",)
+    _simple = True
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        side: Optional[Sequence[int]] = None,
-    ):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        pairs, self.side = _normalized(n, edges, side)
-        self.n = n
-        # sort, then drop repeats: a sampler's edges arrive sorted, which sorts in linear time
-        self.edges: tuple[tuple[int, int], ...] = tuple(dict.fromkeys(sorted(pairs)))
-        self._adj: Optional[list[int]] = None
-
-    # -- basic queries ------------------------------------------------------
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency_bitsets(self) -> list[int]:
-        """Per-vertex neighbourhoods as int bitmasks (cached)."""
-        if self._adj is None:
-            adj = [0] * self.n
-            for u, v in self.edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            self._adj = adj
-        return self._adj
-
-    def degrees(self) -> list[int]:
-        return [a.bit_count() for a in self.adjacency_bitsets()]
+    def __init__(self, n: int, edges: Iterable, side: Optional[Sequence[int]] = None):
+        super().__init__(n, edges)
+        self.side = _checked_side(n, side)
 
     def side_mask(self, s: int) -> int:
         """The vertices of class s as an int bitmask."""
@@ -130,15 +152,12 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.ends, other.ends)
             and self.side == other.side
         )
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges, self.side))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(n={self.n}, edges={self.edge_count})"
 
     # -- constructors ---------------------------------------------------------
 
@@ -179,13 +198,13 @@ def build_complete_multipartite(sizes: Sequence[int]) -> Graph:
         raise ValueError("class sizes must be positive integers")
     n = sum(sizes)
     _check_size("multipartite vertices plus edges", n + (n * n - sum(s * s for s in sizes)) // 2)
-    offsets = [0, *accumulate(sizes)]
-    classes = [range(a, b) for a, b in zip(offsets, offsets[1:])]
-    edges = [(u, v) for c1, c2 in combinations(classes, 2) for u in c1 for v in c2]
-    side = None
-    if len(sizes) == 2:
-        side = [0] * sizes[0] + [1] * sizes[1]
-    return Graph(n, edges, side=side)
+    # vertex u is joined to the `later[u]` vertices from `past[u]`, the first after its class
+    past = np.repeat(np.cumsum(sizes), sizes)
+    later = n - past
+    us = np.repeat(np.arange(n), later)
+    vs = np.arange(len(us)) + np.repeat(past - (np.cumsum(later) - later), later)
+    side = np.repeat([0, 1], sizes) if len(sizes) == 2 else None
+    return Graph(n, np.column_stack((us, vs)), side=side)
 
 
 # ── rooted trees ─────────────────────────────────────────────────────────────
@@ -475,7 +494,7 @@ def serialize_edge_list(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -
 
 
 def serialize_graph(graph: Graph) -> str:
-    return serialize_edge_list(graph.n, graph.edges)
+    return serialize_edge_list(graph.n, graph.ends)
 
 
 def serialize_tree(tree: RootedTree) -> str:
@@ -504,6 +523,7 @@ def parse_edge_list(text: str) -> Graph:
 
 __all__ = [
     "BUILD_SIZE_CAP",
+    "Multigraph",
     "Graph",
     "RootedTree",
     "ceil_log2",

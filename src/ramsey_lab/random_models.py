@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional, Union
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .bounds import format_rational
 from .errors import CapExceededError
-from .constructions import Graph, _bits, _check_size, _normalized
+from .constructions import Graph, Multigraph, _bits, _check_size
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -62,41 +61,6 @@ def child_seed(seed: int, *path: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=tuple(path))
 
 
-# ── multigraphs (pairing-model output) ───────────────────────────────────────
-
-
-class Multigraph:
-    """Undirected multigraph: loops and parallel edges allowed.
-
-    Edges are a sorted multiset of (u, v) with u <= v; a loop contributes
-    2 to its endpoint's degree.
-    """
-
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges):
-        self.n = n
-        self.edges = tuple(sorted(_normalized(n, edges, simple=False)[0]))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def support_graph(self) -> Graph:
-        """Simple graph on the same vertices: loops dropped, multiplicities collapsed."""
-        return Graph(self.n, {(u, v) for u, v in self.edges if u != v})
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Multigraph(n={self.n}, edges={self.edge_count})"
-
-
 # ── samplers ─────────────────────────────────────────────────────────────────
 
 
@@ -116,7 +80,7 @@ def sample_gnp(n: int, p: float, seed: SeedLike) -> Graph:
     rng = _rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
-    return Graph(n, zip(iu[mask].tolist(), iv[mask].tolist()))
+    return Graph(n, np.column_stack((iu[mask], iv[mask])))
 
 
 def sample_bipartite(n1: int, n2: int, p: float, seed: SeedLike) -> Graph:
@@ -128,8 +92,7 @@ def sample_bipartite(n1: int, n2: int, p: float, seed: SeedLike) -> Graph:
     rng = _rng(seed)
     mask = rng.random(n1 * n2) < p
     us, vs = np.divmod(np.flatnonzero(mask), n2)
-    edges = zip(us.tolist(), (n1 + vs).tolist())
-    return Graph(n1 + n2, edges, side=[0] * n1 + [1] * n2)
+    return Graph(n1 + n2, np.column_stack((us, n1 + vs)), side=[0] * n1 + [1] * n2)
 
 
 def _pairing_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,9 +160,9 @@ def sample_pairing(
         if not np.all(deg == d):
             raise AssertionError("pairing projection broke the degree invariant")
         if not simple_only:
-            return Multigraph(n, map(tuple, pairs.tolist()))
+            return Multigraph(n, pairs)
         if _pairs_simple(pairs, n):
-            return Graph(n, map(tuple, pairs.tolist())), attempts
+            return Graph(n, pairs), attempts
 
 
 # ── hole witnesses ───────────────────────────────────────────────────────────
@@ -214,7 +177,7 @@ class HoleWitness:
 
 
 def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) -> bool:
-    """Independent re-check of every HoleWitness invariant, on the edge list itself."""
+    """Independent re-check of every HoleWitness invariant, on the edge array itself."""
     left, right = witness.left, witness.right
     if left & right or len(left) != len(right) or not left:
         return False
@@ -227,7 +190,11 @@ def verify_hole(graph: Graph, witness: HoleWitness, size: Optional[int] = None) 
         sides_r = {graph.side[v] for v in right}
         if len(sides_l) != 1 or len(sides_r) != 1 or sides_l == sides_r:
             return False
-    return not any(u in left and v in right or u in right and v in left for u, v in graph.edges)
+    # left reads 1 and right 2, so a crossing edge sums to 3; ends past the witness read the last 0
+    label = np.zeros(max(left | right) + 2, np.int8)
+    label[list(left)], label[list(right)] = 1, 2
+    at_u, at_v = label.take(graph.ends, mode="clip").T
+    return not (at_u + at_v == 3).any()
 
 
 def _host_words(n: int) -> int:
@@ -247,7 +214,7 @@ def _check_exact_caps(n: int, s: int) -> None:
 
 
 def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The hole searches' host table, read from the edge list and class labels.
+    """The hole searches' host table, read from the edge array and class labels.
 
     uint64 rows with v at bit v % 64 of word v // 64: ``sides[k]`` holds
     the vertices side k of a hole may use (class k of a 2-class host, else
@@ -261,7 +228,7 @@ def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bit = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
     clear = np.full((n, words), ~np.uint64(0))
     clear[v, v // 64] = ~bit
-    ends = np.fromiter(chain.from_iterable(graph.edges), np.intp).reshape(-1, 2)
+    ends = graph.ends
     drop = clear.copy()
     np.bitwise_and.at(drop.ravel(), ends * words + ends[:, ::-1] // 64, ~bit[ends[:, ::-1]])
     return sides, clear, drop
@@ -556,7 +523,6 @@ def estimate_hole_probability(
 
 
 __all__ = [
-    "Multigraph",
     "HoleWitness",
     "TrialReport",
     "child_seed",

@@ -15,12 +15,21 @@ import pytest
 from ramsey_lab.constructions import Graph
 
 
+def adjacency_bitsets(graph: Graph) -> list[int]:
+    """Per-vertex neighbourhoods as int bitmasks, from the edge tuples."""
+    adj = [0] * graph.n
+    for u, v in graph.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 def has_edge(graph: Graph, u: int, v: int) -> bool:
-    return bool(graph.adjacency_bitsets()[u] >> v & 1)
+    return bool(adjacency_bitsets(graph)[u] >> v & 1)
 
 
 def neighbors(graph: Graph, v: int) -> list[int]:
-    return [u for u in range(graph.n) if graph.adjacency_bitsets()[v] >> u & 1]
+    return [u for u in range(graph.n) if adjacency_bitsets(graph)[v] >> u & 1]
 
 
 def with_edge(graph: Graph, u: int, v: int) -> Graph:

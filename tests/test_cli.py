@@ -289,6 +289,11 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
     assert rc == 3 and out == "" and "capped at 20 vertices" in err
 
 
+#: edge-list files the test below writes to its working directory: edgeless hosts over the
+#: build cap, one beyond int64 and one that would allocate ~115 MB if it were searched
+OVERSIZED_HOST_FILES = {"n1e20.txt": "100000000000000000000 0\n", "n2e6.txt": "2000000 0\n"}
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "--leaf-tree", "99999999999"),
     ("construct", "--connector", "1,1,99999999999"),
@@ -296,6 +301,8 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
     ("arrow", "--host", "K100000", "--targets", "C3,C3"),
     ("arrow", "--host", "M100000x100000", "--targets", "C3,C3"),
     ("arrow", "--host", "K0x99999999999", "--targets", "C3,C3"),  # edgeless, over the build cap
+    ("arrow", "--host", "@n1e20.txt", "--targets", "C3,C3"),
+    ("arrow", "--host", "@n2e6.txt", "--targets", "C3,C3"),
     ("simulate", "--model", "gnp", "--N", "1000000", "--s", "3", "--p", "0.5", "--seed", "1",
      "--trials", "1"),
     ("simulate", "--model", "bipartite", "--N", "1000000", "--s", "3", "--p", "0.5", "--seed", "1",
@@ -322,7 +329,10 @@ def test_arrow_host_file_over_vertex_cap(capsys, tmp_path):
                   "--mode", "exact", "--trials", "1", "--seed", "1"),
                  id="simulate --mode exact --N 500000"),
 ], ids=lambda argv: " ".join(argv[:3]))
-def test_oversized_input_is_refused_before_allocation(capsys, argv):
+def test_oversized_input_is_refused_before_allocation(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in OVERSIZED_HOST_FILES.items():
+        (tmp_path / name).write_text(text)
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from itertools import combinations
 
@@ -22,7 +23,7 @@ import ramsey_lab.constructions as cons
 from ramsey_lab.constructions import Graph, RootedTree
 from ramsey_lab.errors import CapExceededError
 
-from conftest import has_edge, neighbors, tree_edges, tree_graph, with_edge
+from conftest import adjacency_bitsets, has_edge, neighbors, tree_edges, tree_graph, with_edge
 
 
 # ── small integer helpers ────────────────────────────────────────────────────
@@ -57,10 +58,25 @@ def test_binary_decomposition():
 
 
 def test_graph_rejects_bad_input():
-    with pytest.raises(ValueError, match="loop"):
-        Graph(3, [(1, 1)])
-    with pytest.raises(ValueError, match="out of range"):
-        Graph(3, [(0, 3)])
+    # the first bad edge in input order, as given
+    for edges, message in (
+        ([(0, 1), (1, 1)], "loop at vertex 1 not allowed in a simple graph"),
+        (np.array([[0, 1], [1, 1], [0, 3]]), "loop at vertex 1 not allowed in a simple graph"),
+        ([(0, 3)], "edge (0, 3) out of range for n=3"),
+        ([(1, 2), (-1, 0)], "edge (-1, 0) out of range for n=3"),
+        (np.array([[2, 1], [3, 0], [1, 1]]), "edge (3, 0) out of range for n=3"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, edges)
+    # triples are refused, never reshaped into pairs
+    for edges in ([(0, 1, 2), (0, 1, 2)], np.array([[0, 1, 2], [0, 1, 2]]), [0, 1, 2, 0]):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(3, edges)
+    # ids beyond int64, as Python ints and in a uint64 array
+    huge = ([(0, 2**63)], [(2**70, 1)], [(-(2**70), 1)], np.array([[2**64 - 1, 0]], np.uint64))
+    for edges in huge:
+        with pytest.raises(ValueError, match="int64"):
+            Graph(3, edges)
     with pytest.raises(ValueError, match="nonnegative"):
         Graph(-1, [])
     with pytest.raises(ValueError, match="side"):
@@ -77,6 +93,19 @@ def test_graph_normalizes_and_deduplicates_edges():
     assert not has_edge(g, 0, 1)
     assert neighbors(g, 0) == [2]
     assert g.degrees() == [1, 1, 1, 1]
+
+    # an (m, 2) array, and the same pairs shuffled, reversed and repeated as tuples
+    rng = random.Random(3)
+    for n in (1, 5, 30):
+        pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        mixed += rng.choices(mixed, k=len(mixed) // 2)
+        rng.shuffle(mixed)
+        h = Graph(n, mixed)
+        assert g.edges == h.edges == tuple(pairs)
+        assert g == h and hash(g) == hash(h)
+        assert cons.serialize_graph(g) == cons.serialize_graph(h)
 
 
 def test_graph_constructors():
@@ -107,7 +136,7 @@ def test_graph_constructors():
 def test_graph_equality_and_with_edge():
     g = Graph(3, [(0, 1)])
     assert g == Graph(3, [(1, 0)])
-    assert hash(g) == hash(Graph(3, [(1, 0)]))
+    assert hash(g) == hash(Graph(3, [(1, 0)])) == hash((3, ((0, 1),), None))
     assert g != Graph(3, [(0, 1)], side=[0, 1, 0])
     g2 = with_edge(g, 1, 2)
     assert g2.edges == ((0, 1), (1, 2))
@@ -387,7 +416,7 @@ def expansion_condition_check(
     """
     if n_tree < 1 or d < 0:
         raise ValueError("need n_tree >= 1 and d >= 0")
-    adj = graph.adjacency_bitsets()
+    adj = adjacency_bitsets(graph)
     top = min(2 * n_tree - 2, graph.n)
     for size in range(1, top + 1):
         need = (d + 1) * size

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import ramsey_lab.random_models as rm
-from ramsey_lab.constructions import Graph
+from ramsey_lab.constructions import Graph, Multigraph
 from ramsey_lab.errors import CapExceededError
-from ramsey_lab.random_models import HoleWitness, Multigraph
+from ramsey_lab.random_models import HoleWitness
 
-from conftest import has_edge, with_edge
+from conftest import adjacency_bitsets, has_edge, with_edge
 
 
 # ── binomial samplers ────────────────────────────────────────────────────────
@@ -85,6 +85,8 @@ def test_multigraph_invariants():
     assert not _is_simple(mg)
     assert mg.support_graph() == Graph(3, [(1, 2)])  # loops and repeats dropped
     assert _is_simple(Multigraph(3, [(0, 1), (1, 2)]))
+    from_array = Multigraph(3, np.array([[2, 1], [0, 0], [1, 2]]))
+    assert from_array.edges == mg.edges == ((0, 0), (1, 2), (1, 2))
     with pytest.raises(ValueError):
         Multigraph(2, [(0, 2)])
 
@@ -189,7 +191,7 @@ def plain_branch_and_bound(graph: Graph, s: int) -> Optional[HoleWitness]:
     right vertices is returned with the s smallest of them.  Without
     2-class labels the right set lies above the left set's minimum.
     """
-    adj = graph.adjacency_bitsets()
+    adj = adjacency_bitsets(graph)
     if graph.side is not None:
         lefts = [v for v in range(graph.n) if graph.side[v] == 0]
         pool0 = sum(1 << v for v in range(graph.n) if graph.side[v] == 1)
@@ -435,12 +437,12 @@ def test_heuristic_host_table_is_capped_before_it_is_built():
 
 
 def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
-    """The searches read their own host table and verify_hole reads the edge list.
+    """The searches read their own host table and verify_hole reads the edge array.
 
-    With the graph's cached bitsets and class masks made to raise, every
-    search, re-check and Monte Carlo returns what it returns without the
-    patch, so a wrong cached adjacency could not fool a search and its
-    check together.
+    With the graph's class masks and its edges tuple view made to raise,
+    every search, re-check and Monte Carlo returns what it returns without
+    the patch: no derived copy of the edges could fool a search and its
+    check together, and no host on the hole path becomes Python tuples.
     """
     hosts = [(rm.sample_gnp(24, 0.55, seed), 4) for seed in range(6)]
     hosts += [(rm.sample_bipartite(9, 11, 0.6, seed), 3) for seed in range(6)]
@@ -452,7 +454,8 @@ def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
         out = []
         for i, (g, s) in enumerate(hosts):
             found = [rm.find_hole_exact(g, s), rm.find_hole_heuristic(g, s, iters=20, seed=i)]
-            crossing = HoleWitness(frozenset(g.edges[0][:1]), frozenset(g.edges[0][1:]))
+            u, v = g.ends[0].tolist()
+            crossing = HoleWitness(frozenset([u]), frozenset([v]))
             checks = [rm.verify_hole(g, w, s) for w in found if w is not None]
             out.append((found, checks, rm.verify_hole(g, crossing)))
         for model, mode, kw in runs:
@@ -460,8 +463,8 @@ def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
         return out
 
     expected = results()
-    for name in ("adjacency_bitsets", "side_mask"):
-        monkeypatch.setattr(Graph, name, lambda *_, name=name: pytest.fail(f"called Graph.{name}"))
+    monkeypatch.setattr(Graph, "side_mask", lambda *_: pytest.fail("called Graph.side_mask"))
+    monkeypatch.setattr(Multigraph, "edges", property(lambda _: pytest.fail("built the edges tuples")))
     assert results() == expected
     finds = [w for found, _, _ in expected[:len(hosts)] for w in found if w is not None]
     assert len(finds) >= 12 and all(c for _, checks, _ in expected[:len(hosts)] for c in checks)
@@ -533,7 +536,7 @@ def lockstep_reference(graph: Graph, s: int, iters: int, seed,
     n = graph.n
     if 2 * s > n:
         return None
-    adj = graph.adjacency_bitsets()
+    adj = adjacency_bitsets(graph)
     if graph.side is not None:
         base = [graph.side_mask(0), graph.side_mask(1)]
         if min(b.bit_count() for b in base) < s:
