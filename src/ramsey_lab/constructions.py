@@ -57,11 +57,19 @@ def binary_decomposition(n: int) -> list[int]:
 # ── graphs and multigraphs ──────────────────────────────────────────────────
 
 
+def _lex_sorted(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (lo, hi) in lexicographic order; one O(m) test spares rows already in order."""
+    in_order = (lo[1:] > lo[:-1]) | (lo[1:] == lo[:-1]) & (hi[1:] >= hi[:-1])
+    order = slice(None) if in_order.all() else np.lexsort((hi, lo))
+    return lo[order], hi[order]
+
+
 def _normalized(n: int, edges: Iterable, simple: bool) -> np.ndarray:
     """The canonical read-only (m, 2) int64 array of edges on vertices 0..n-1.
 
     ``edges`` is an (m, 2) integer array or an iterable of (u, v) pairs; the
-    rows are (min, max), sorted.  When ``simple``, loops are refused and repeats dropped.
+    rows are (min, max), sorted, and rows already in order are not re-sorted.
+    When ``simple``, loops are refused and repeats dropped.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -76,8 +84,7 @@ def _normalized(n: int, edges: Iterable, simple: bool) -> np.ndarray:
         if simple and u == v:
             raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
         raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
+    lo, hi = _lex_sorted(lo, hi)
     keep = np.ones(len(lo), bool)
     if simple:
         keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -476,14 +483,14 @@ def serialize_edge_list(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -
     m = len(pairs)
     if m and lo.min() < 0:
         raise ValueError(f"edge ids must be nonnegative, got {int(lo.min())}")
-    order = np.lexsort((hi, lo))
+    lo, hi = _lex_sorted(lo, hi)
     top = int(hi.max()) if m else 0
     width = len(str(top))
     text = np.empty((2 * m, width + 1), dtype=np.uint8)
     keep = np.ones((2 * m, width + 1), dtype=bool)
     text[0::2, width], text[1::2, width] = ord(" "), ord("\n")
     q = np.empty(2 * m, dtype=np.min_scalar_type(top))  # narrow unsigned: fast // 10
-    q[0::2], q[1::2] = lo[order], hi[order]
+    q[0::2], q[1::2] = lo, hi
     for k in range(width - 1, -1, -1):
         nq = q // 10
         text[:, k] = q - nq * 10 + ord("0")

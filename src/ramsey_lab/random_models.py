@@ -72,15 +72,20 @@ def _check_probability(p: float) -> float:
 
 
 def sample_gnp(n: int, p: float, seed: SeedLike) -> Graph:
-    """Binomial random graph: each pair independently an edge with probability p."""
+    """Binomial random graph: each pair independently an edge with probability p.
+
+    Uniform j of one ``rng.random`` draw decides the j-th pair (u < v) in
+    row-major upper-triangle order; row u starts at pair u*(2n-u-1)/2.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
     p = _check_probability(p)
     _check_size("gnp vertex pairs", n * (n - 1) // 2)
     rng = _rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    return Graph(n, np.column_stack((iu[mask], iv[mask])))
+    k = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    start = np.arange(n) * np.arange(2 * n - 1, n - 1, -1) // 2  # u * (2n - u - 1) / 2
+    row = np.searchsorted(start, k, "right") - 1
+    return Graph(n, np.column_stack((row, k - start.take(row) + row + 1)))
 
 
 def sample_bipartite(n1: int, n2: int, p: float, seed: SeedLike) -> Graph:
@@ -93,22 +98,6 @@ def sample_bipartite(n1: int, n2: int, p: float, seed: SeedLike) -> Graph:
     mask = rng.random(n1 * n2) < p
     us, vs = np.divmod(np.flatnonzero(mask), n2)
     return Graph(n1 + n2, np.column_stack((us, n1 + vs)), side=[0] * n1 + [1] * n2)
-
-
-def _pairing_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """One pairing-model draw: (n*d//2, 2) array of bucket pairs, u <= v."""
-    points = rng.permutation(n * d)
-    buckets = points // d
-    pairs = buckets.reshape(-1, 2)
-    pairs.sort(axis=1)
-    return pairs
-
-
-def _pairs_simple(pairs: np.ndarray, n: int) -> bool:
-    if np.any(pairs[:, 0] == pairs[:, 1]):
-        return False
-    codes = pairs[:, 0] * n + pairs[:, 1]
-    return np.unique(codes).shape[0] == codes.shape[0]
 
 
 def sample_pairing(
@@ -155,14 +144,17 @@ def sample_pairing(
                 f"{PAIRING_ATTEMPTS_CAP} attempts"
             )
         attempts += 1
-        pairs = _pairing_edges(n, d, rng)
+        # points 2i and 2i + 1 of a uniform permutation are matched; point x lies at vertex x // d
+        pairs = (rng.permutation(n * d) // d).reshape(-1, 2)
         deg = np.bincount(pairs.ravel(), minlength=n)
         if not np.all(deg == d):
             raise AssertionError("pairing projection broke the degree invariant")
         if not simple_only:
             return Multigraph(n, pairs)
-        if _pairs_simple(pairs, n):
-            return Graph(n, pairs), attempts
+        if (pairs[:, 0] != pairs[:, 1]).all():  # no loop; then simple if Graph drops no repeat
+            graph = Graph(n, pairs)
+            if graph.edge_count == len(pairs):
+                return graph, attempts
 
 
 # ── hole witnesses ───────────────────────────────────────────────────────────
@@ -335,6 +327,7 @@ def find_hole_heuristic(
         return None
     base, clear, drop = _host_rows(graph)
     words = base.shape[1]
+    ones = np.ones(words, np.intp)  # row sums of popcounts as a matmul: faster than sum(2)
     rng = _rng(seed)
     iters, done = max(1, iters), 0
     while done < iters:
@@ -355,10 +348,10 @@ def find_hole_heuristic(
             own_pool = pools.take(own, 0)
             unpacked = np.unpackbits(own_pool.view(np.uint8), bitorder="little")
             (bits,) = unpacked.view(bool).nonzero()  # bool, for nonzero's fast path
-            m = np.bitwise_count(own_pool).sum(1, dtype=np.intp, keepdims=True)
+            m = (np.bitwise_count(own_pool) @ ones)[:, None]
             cands = bits.take(m.cumsum(0) - m + (u[:, 2:] * m).astype(np.intp)) - row_bit0
             after = pools.take(other, 0)[:, None] & drop.take(cands, 0)
-            kept = np.bitwise_count(after).sum(2, dtype=np.intp)
+            kept = np.bitwise_count(after) @ ones
             pick = row8 + np.where(u[:, 1] < 0.4, 0, kept.argmax(1))  # flat (row, candidate)
             v = cands.take(pick)
             pools[own] = own_pool & clear.take(v, 0)

@@ -108,6 +108,53 @@ def test_graph_normalizes_and_deduplicates_edges():
         assert cons.serialize_graph(g) == cons.serialize_graph(h)
 
 
+def _edge_orders(pairs: list[tuple[int, int]], rng: random.Random) -> dict[str, list]:
+    """The same (u, v) pairs, u <= v, in the orders the edge normaliser must handle."""
+    pairs = sorted(pairs)
+    extra = rng.choices(pairs, k=len(pairs) // 2)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs + extra]
+    rng.shuffle(shuffled)
+    return {
+        "sorted": pairs,
+        "sorted with repeats": sorted(pairs + extra),
+        "swapped": [(v, u) for u, v in pairs],  # (max, min) rows, in order once normalised
+        "reversed": pairs[::-1],
+        "hi reversed": sorted(pairs, key=lambda e: (e[0], -e[1])),  # lo in order, hi not
+        "shuffled with repeats": shuffled,
+    }
+
+
+_IN_ORDER = ("sorted", "sorted with repeats", "swapped")
+
+
+@pytest.mark.parametrize("n", [7, 300, 2**33 + 5, 2**63 - 1])
+def test_normalizer_matches_sorted_oracle(n, monkeypatch):
+    lexsort, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    rng = random.Random(n)
+    ids = sorted({0, n - 2, n - 1} | {rng.randrange(n) for _ in range(40)})
+    pairs = [e for e in combinations(ids, 2) if rng.random() < 0.3 or e[0] == 0 and e[1] >= n - 2]
+    loops = [(v, v) for v in rng.sample(ids, 3)]
+    for graph_like, edges, oracle in (
+        (Graph, pairs, lambda es: sorted({(min(e), max(e)) for e in es})),
+        (cons.Multigraph, pairs + loops, lambda es: sorted((min(e), max(e)) for e in es)),
+    ):
+        for name, order in _edge_orders(edges, rng).items():
+            expected = tuple(oracle(order))
+            for given in (order, np.array(order, dtype=np.int64)):
+                calls.clear()
+                g = graph_like(n, given)
+                assert g.edges == expected, (graph_like, name)
+                assert len(calls) == (name not in _IN_ORDER), (graph_like, name)
+                calls.clear()
+                assert cons.serialize_graph(g) == reference_edge_list(n, expected)
+                assert not calls  # canonical rows are never re-sorted
+            calls.clear()
+            text = cons.serialize_edge_list(n, order)
+            assert text == reference_edge_list(n, order), name
+            assert len(calls) == (name not in _IN_ORDER), name
+
+
 def test_graph_constructors():
     k5 = Graph.complete(5)
     assert k5.edge_count == 10

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import ramsey_lab.random_models as rm
+import ramsey_lab.threshold_solver as ts
 from ramsey_lab.constructions import Graph, Multigraph
 from ramsey_lab.errors import CapExceededError
 from ramsey_lab.random_models import HoleWitness
@@ -50,6 +52,28 @@ def test_gnp_edge_count_within_five_sigma():
     mean = 100 * pairs * p
     sigma = math.sqrt(100 * pairs * p * (1 - p))
     assert abs(total - mean) <= 5 * sigma
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 60, 400, 1414])
+@pytest.mark.parametrize("p", [0.0, 0.16, 0.5, 1.0])
+def test_gnp_uniform_j_decides_the_jth_upper_triangle_pair(n, p):
+    # oracle: the row-major upper-triangle pair table, masked by the same uniforms
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    expected = np.column_stack((iu[mask], iv[mask])).astype(np.int64)
+    assert np.array_equal(rm.sample_gnp(n, p, 7).ends, expected)
+
+
+@pytest.mark.parametrize("n, sha256", [
+    (400, "683e90e34739efe543eeaca94dc73c464964927d3f97c83eee6dbdf51addc5e0"),
+    (800, "704c25a6644c2f2a11fc25c8dc1da0284d6b3e9ff38ea4f8588d50a748785f24"),
+])
+def test_gnp_criterion_10_first_hosts_frozen(n, sha256):
+    d = ts.gnp_min_density(Fraction(1, 10))
+    ends = rm.sample_gnp(n, d / n, rm.child_seed(20260814, 0, 0)).ends
+    assert ends.dtype == np.dtype("<i8")
+    assert hashlib.sha256(ends.tobytes()).hexdigest() == sha256
 
 
 def test_bipartite_sampler():
