@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from ramsey_lab.constructions import Graph
@@ -39,6 +40,11 @@ def with_edge(graph: Graph, u: int, v: int) -> Graph:
 def tree_edges(tree) -> list[tuple[int, int]]:
     """A RootedTree's (parent, child) pairs as plain ints, in child order."""
     return list(zip(tree.parent[1:].tolist(), range(1, tree.n)))
+
+
+def leaves(tree) -> np.ndarray:
+    """A RootedTree's childless vertices, ascending."""
+    return np.flatnonzero(tree.children_counts() == 0)
 
 
 def tree_graph(tree) -> Graph:

@@ -148,9 +148,9 @@ def test_construct_multipartite_golden(capsys):
 
 @pytest.mark.parametrize("argv, sha256", [
     (("construct", "--leaf-tree", "9000"),
-     "7934900ca0df546c0af3ee7885f3a003b059eaf81444f7d2f0f3b53d9f1a0cb3"),
+     "1792fece5ad4884d4812511b594940771eff2e1961bed3f5daa1fda7a95f7efd"),
     (("construct", "--connector", "3000,2500,430"),
-     "b53e67a7e193c6809b9c93ad85709a0ad6f7c9b1dcbff21fecedd840aac54743"),
+     "97040db84f144ca0b8d7bbe651e29b2e3375970cd0b0d2a6da03ccc00b532960"),
     (("construct", "--connector", "1,1,2"),
      "9ad2c87012d9e8b8c888973ab4f91bb03af508b517c63f38b5f48754cec56380"),
     (("construct", "--multipartite", "3,4,5"),
@@ -164,7 +164,7 @@ def test_construct_stdout_bytes_frozen(capsys, argv, sha256):
 
 @pytest.mark.parametrize("argv, sha256", [
     (("construct", "--leaf-tree", "10000"),
-     "ad2d8b15336e72e658548c5764d9eb99a445cd27c12f3176755c29b0e7d85b51"),
+     "21b7bd02ba2e0737ee1615808c6ea5082574b9dfb08e0eecd900c93847f60d25"),
     (("construct", "--connector", "4096,4096,26"),
      "2a69026f2dcbfbc4447cb286298c94ada7a9c3cd1720a6e0bd794d5e4accc6dd"),
 ], ids=["leaf-tree-10000", "connector-4096"])

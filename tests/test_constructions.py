@@ -23,7 +23,8 @@ import ramsey_lab.constructions as cons
 from ramsey_lab.constructions import Graph, RootedTree
 from ramsey_lab.errors import CapExceededError
 
-from conftest import adjacency_bitsets, has_edge, neighbors, tree_edges, tree_graph, with_edge
+from conftest import (adjacency_bitsets, has_edge, leaves, neighbors, tree_edges, tree_graph,
+                      with_edge)
 
 
 # ── small integer helpers ────────────────────────────────────────────────────
@@ -40,18 +41,6 @@ def test_ceil_log2_is_the_least_covering_exponent():
         t = cons.ceil_log2(n)
         assert 2**t >= n
         assert t == 0 or 2 ** (t - 1) < n
-
-
-def test_binary_decomposition():
-    assert cons.binary_decomposition(1) == [0]
-    assert cons.binary_decomposition(4) == [2]
-    assert cons.binary_decomposition(5) == [2, 0]
-    assert cons.binary_decomposition(2022) == [10, 9, 8, 7, 6, 5, 2, 1]
-    for n in range(1, 2000):
-        exps = cons.binary_decomposition(n)
-        assert sum(2**t for t in exps) == n
-        assert exps == sorted(exps, reverse=True)
-        assert len(set(exps)) == len(exps)
 
 
 # ── Graph container ──────────────────────────────────────────────────────────
@@ -242,14 +231,14 @@ def test_rooted_tree_requires_root_zero():
 
 def test_leaf_tree_small_cases():
     t2 = cons.build_leaf_tree(2)
-    assert t2.n == 3 and len(t2.leaves()) == 2
+    assert t2.n == 3 and len(leaves(t2)) == 2
 
     t4 = cons.build_leaf_tree(4)  # perfect binary tree of height 2
     assert t4.n == 7
-    assert list(t4.leaves()) == [3, 4, 5, 6]
+    assert list(leaves(t4)) == [3, 4, 5, 6]
     assert t4.max_degree() == 3
 
-    t5 = cons.build_leaf_tree(5)  # 4 + 1: spine of 3 plus blocks
+    t5 = cons.build_leaf_tree(5)  # levels of 1, 2, 3 and 5 vertices
     assert t5.n == 11
     rep = cons.verify_leaf_tree(t5, 5)
     assert rep["ok"] and rep["leaf_depth"] == 3 and rep["leaves"] == 5
@@ -258,6 +247,18 @@ def test_leaf_tree_small_cases():
         cons.build_leaf_tree(1)
     with pytest.raises(ValueError):
         cons.build_leaf_tree(0)
+
+
+def test_leaf_tree_is_built_level_by_level():
+    for n in list(range(2, 2049)) + [9000, 10**4, 499_990]:
+        tree = cons.build_leaf_tree(n)
+        k = (n - 1).bit_length()
+        widths = [-(-n // 2 ** (k - j)) for j in range(k + 1)]
+        assert np.bincount(tree.depth).tolist() == widths, n
+        assert np.array_equal(leaves(tree), np.arange(tree.n - n, tree.n)), n
+        assert (np.diff(tree.parent[1:]) >= 0).all(), n
+        if n == 2**k:
+            assert np.array_equal(tree.parent[1:], np.arange(tree.n - 1) // 2), n
 
 
 def test_leaf_tree_sweep_invariants():
@@ -284,7 +285,7 @@ def test_verify_leaf_tree_catches_tampering():
     # pull one leaf up to hang off the root: leaf depth is no longer uniform
     parent = tree.parent.copy()
     depth = tree.depth.copy()
-    leaf = int(tree.leaves()[-1])
+    leaf = int(leaves(tree)[-1])
     parent[leaf] = 0
     depth[leaf] = 1
     assert not cons.verify_leaf_tree(RootedTree(parent, depth), 6)["ok"]
