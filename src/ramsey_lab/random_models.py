@@ -36,7 +36,7 @@ SeedLike = Union[int, np.random.SeedSequence]
 HOLE_EXACT_VERTEX_CAP = 60  # at most 64: the exact search packs pools in a uint64
 HOLE_EXACT_SIZE_CAP = 8
 #: most frontier nodes the exact hole search expands in one numpy step
-_EXACT_BLOCK = 256
+_EXACT_BLOCK = 1024
 #: most expected rejection attempts a simple pairing draw may need
 PAIRING_ATTEMPTS_CAP = 100_000
 #: most hole searches (trials times heuristic restarts) or simple pairing
@@ -216,13 +216,14 @@ def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     member = np.zeros((2, 64 * words), bool)
     member[:, :n] = True if graph.side is None else np.array(graph.side) == [[0], [1]]
     sides = np.packbits(member, axis=1, bitorder="little").view("<u8")
+    # 2n rows, the complements of drop and then of clear: bit b of row a is set for (a, b) =
+    # (lo, hi), (hi, lo), (v, v) and (n + v, v), summed per 32-bit half word.  Graph is
+    # simple, so these bits are distinct and each (exact, float64) sum is their OR.
     v = np.arange(n)
-    bit = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
-    clear = np.full((n, words), ~np.uint64(0))
-    clear[v, v // 64] = ~bit
-    ends = graph.ends
-    drop = clear.copy()
-    np.bitwise_and.at(drop.ravel(), ends * words + ends[:, ::-1] // 64, ~bit[ends[:, ::-1]])
+    a = np.concatenate((graph.ends.ravel(), v, n + v))
+    b = np.concatenate((graph.ends[:, ::-1].ravel(), v, v))
+    halves = np.bincount(a * (2 * words) + (b >> 5), np.left_shift(1, b & 31), 4 * n * words)
+    drop, clear = ~halves.astype("<u4").view("<u8").reshape(2, n, words)
     return sides, clear, drop
 
 
@@ -240,8 +241,9 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     before the block is exhausted by then, so the first depth-s child is
     the lexicographically-first left set, returned with the s smallest
     vertices of its pool.  The block starts at one row, for hosts with an
-    early hole, and doubles per step up to ``_EXACT_BLOCK`` rows: the stack
-    holds at most s frames of ``_EXACT_BLOCK`` times |left| nodes.
+    early hole, and doubles per step up to ``_EXACT_BLOCK`` = 1024 rows: the
+    stack holds at most s frames of ``_EXACT_BLOCK`` times |left| nodes of 24
+    bytes, 11.8 MB at the caps.
 
     The left set ranges over ``sides[0]`` of the ``_host_rows`` table and
     the pools over ``sides[1]`` (classes 0 and 1 of a 2-class host).  With
@@ -262,6 +264,9 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     bit = np.left_shift(np.uint64(1), col.astype(np.uint64))
     # a frame: depth; per node the pool, chosen left indices as bits, last index
     stack = [(0, np.array([pool0], dtype=np.uint64), np.zeros(1, np.uint64), np.full(1, -1))]
+    # every step's q lives here: a new array of up to 1024 rows would be a fresh mmap,
+    # paged in again at each step (about 450 page faults per G(60, 0.47) host)
+    buf = np.empty(_EXACT_BLOCK * len(left), np.uint64)
     width = 1
     while stack:
         depth, pools, chosen, last = stack.pop()
@@ -270,7 +275,9 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
             pools, chosen, last = pools[:width], chosen[:width], last[:width]
         width, need = min(2 * width, _EXACT_BLOCK), s - depth
         lo = int(last.min()) + 1
-        q = pools[:, None] & cand[lo:]
+        span = len(left) - lo
+        q = buf[: len(pools) * span].reshape(len(pools), span)
+        np.bitwise_and(pools[:, None], cand[lo:], out=q)
         live = (np.bitwise_count(q) >= s) & (col[lo:] > last[:, None])
         rank = np.cumsum(live, axis=1, dtype=np.uint8)  # live candidates up to j
         keep = live & (rank + (need - 1) <= rank[:, -1:])
@@ -278,7 +285,7 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
             q &= above  # swap symmetry: the hole's minimum vertex is on the left
             keep &= np.bitwise_count(q) >= s
         flat = np.flatnonzero(keep)
-        rows, js = np.divmod(flat, len(left) - lo)
+        rows, js = np.divmod(flat, span)
         js += lo
         if len(rows) and need == 1:
             lefts = [left[i] for i in _bits(int(chosen[rows[0]] | bit[js[0]]))]
@@ -312,11 +319,14 @@ def find_hole_heuristic(
     holds ``_HEURISTIC_BLOCK`` restarts (fewer in the last).  A block keeps
     both pools of each live restart as rows of uint64 bitsets, read from the
     ``_host_rows`` table, and a candidate's effect is a popcount of its
-    ``drop`` row against the other pool.  Each step of a block draws a
+    ``drop`` row against the other pool.  Each step of a block takes a
     (block size, 10) array of uniforms from the one generator seeded by
-    ``seed``, even when the block is the shorter last one or some of its
-    restarts have died, and the block's restart j reads line j.  So restart
-    r depends on (seed, r) alone: a search that finds a hole with
+    ``seed``, and the block's restart j reads line j.  The lines up to the
+    last live restart are drawn and the generator is advanced past the
+    rest, which it does not read (PCG64 spends one output per double), so
+    after each step it stands where the full draw would leave it, even when
+    the block is the shorter last one or some of its restarts have died.
+    So restart r depends on (seed, r) alone: a search that finds a hole with
     ``iters=a`` returns the same witness for every larger ``iters``.  A find
     is re-verified by ``verify_hole`` before it is returned, and the
     lowest-index complete restart that passes is the result.
@@ -340,7 +350,11 @@ def find_hole_heuristic(
             if not t or len(live) != len(ids):
                 live = np.arange(len(ids))
                 row_bit0, even, row8 = 64 * words * live[:, None], 2 * live, 8 * live
-            u = rng.random((width, 10)).take(ids, 0)
+            # PCG64 spends one output per double: skipping the rows past the last live
+            # restart leaves the generator where drawing all `width` rows would
+            top = int(ids[-1]) + 1
+            u = rng.random((top, 10)).take(ids, 0)
+            rng.bit_generator.advance(10 * (width - top))
             # the sides are equal before an even step, else the side not grown last is smaller
             right = u[:, 0] < 0.5 if t % 2 == 0 else ~right
             own = even + right

@@ -261,6 +261,39 @@ def test_verify_hole_rules():
     assert not rm.verify_hole(kb, HoleWitness(frozenset({0}), frozenset({1})))
 
 
+def host_rows_oracle(graph: Graph) -> tuple[list[int], list[int], list[int]]:
+    """The host table as Python ints of 64 * ceil(n/64) bits, from the edge tuples."""
+    adj = adjacency_bitsets(graph)
+    full = (1 << 64 * -(-graph.n // 64)) - 1
+    if graph.side is None:
+        sides = [(1 << graph.n) - 1] * 2
+    else:
+        sides = [sum(1 << v for v in range(graph.n) if graph.side[v] == k) for k in (0, 1)]
+    clear = [full & ~(1 << v) for v in range(graph.n)]
+    drop = [full & ~(adj[v] | 1 << v) for v in range(graph.n)]
+    return sides, clear, drop
+
+
+def test_host_rows_match_a_python_oracle():
+    """sides, clear and drop equal the int-bitset oracle, across word boundaries."""
+
+    def as_ints(table: np.ndarray) -> list[int]:
+        assert table.dtype == np.uint64
+        return [sum(w << 64 * i for i, w in enumerate(row)) for row in table.tolist()]
+
+    for n in (1, 2, 63, 64, 65, 129, 400):
+        hosts = [Graph(n, []), Graph.complete(n), rm.sample_gnp(n, 0.3, n)]
+        if n >= 2:
+            hosts += [Graph.complete_bipartite(n // 2, n - n // 2),
+                      rm.sample_bipartite(n // 2, n - n // 2, 0.4, n)]
+        for g in hosts:
+            tables = rm._host_rows(g)
+            assert [t.shape for t in tables] == [(2, -(-n // 64)), (n, -(-n // 64)),
+                                                 (n, -(-n // 64))]
+            assert [as_ints(t) for t in tables] == list(host_rows_oracle(g)), (
+                n, g.edge_count, g.side is None)
+
+
 def test_find_hole_exact_trivia():
     assert rm.find_hole_exact(Graph.complete(8), 1) is None
     assert rm.find_hole_exact(Graph(0, []), 1) is None
@@ -423,6 +456,25 @@ def test_find_hole_exact_matches_plain_search_on_sparse_hosts():
             assert w is not None and w == plain_branch_and_bound(g, 8), (p, seed)
 
 
+def test_find_hole_exact_witness_does_not_depend_on_the_block_cap(monkeypatch):
+    """The same witness as the plain search whatever the most rows one step expands.
+
+    Blocks of 1 and 3 rows split nearly every frame; 256 and 1024 split the
+    dense hosts' frames at different rows.
+    """
+    hosts = [(rm.sample_gnp(60, p, seed), 8) for p in (0.05, 0.30) for seed in range(2)]
+    hosts += [(rm.sample_gnp(60, 0.47, seed), 8) for seed in range(5)]
+    hosts += [(rm.sample_bipartite(30, 30, 0.4, seed), 6 + seed % 3) for seed in range(3)]
+    hosts += [(rm.sample_gnp(2 + seed, 0.85, seed), 1) for seed in range(8)]
+    hosts += [(rm.sample_bipartite(3, 4, 0.9, seed), 1) for seed in range(6)]
+    expected = [plain_branch_and_bound(g, s) for g, s in hosts]
+    assert 10 <= sum(w is not None for w in expected) <= len(hosts) - 5
+    for block in (1, 3, 256, 1024):
+        monkeypatch.setattr(rm, "_EXACT_BLOCK", block)
+        for i, (g, s) in enumerate(hosts):
+            assert rm.find_hole_exact(g, s) == expected[i], (block, i)
+
+
 def test_heuristic_returns_verified_witnesses_only():
     for seed in range(25):
         g = rm.sample_gnp(30, 0.15, seed)
@@ -549,13 +601,15 @@ def test_heuristic_agrees_with_exact_search():
     assert misses <= 0.05 * cases
 
 
-def lockstep_reference(graph: Graph, s: int, iters: int, seed,
-                       block: int) -> Optional[HoleWitness]:
+def lockstep_reference(graph: Graph, s: int, iters: int, seed, block: int,
+                       skips: Optional[list] = None) -> Optional[HoleWitness]:
     """Reference oracle: the heuristic's rule one restart at a time, on Python ints.
 
     Blocks of restarts as in ``find_hole_heuristic`` (one restart, then
     ``block`` at a time); each step of a block draws a (block width, 10)
-    array of uniforms, and restart j of the block reads row j of it.
+    array of uniforms, and restart j of the block reads row j of it.  A
+    step whose rows after the last live restart go unread, in a block that
+    a later block follows, appends the block's first restart to ``skips``.
     """
     n = graph.n
     if 2 * s > n:
@@ -576,6 +630,8 @@ def lockstep_reference(graph: Graph, s: int, iters: int, seed,
         for _ in range(2 * s):
             if not live:
                 break
+            if skips is not None and live[-1] + 1 < width and done + width < iters:
+                skips.append(done)
             u = rng.random((width, 10))
             for j in list(live):
                 pools, sets = rows[j]
@@ -603,25 +659,30 @@ def lockstep_reference(graph: Graph, s: int, iters: int, seed,
 def test_heuristic_matches_the_reference(monkeypatch):
     """Identical witnesses (or None) to the one-restart-at-a-time oracle.
 
-    With the real block size, and with blocks of 3 so that 10 restarts
-    cross several block boundaries.  About half of the searches find a
-    hole.
+    With the real block size, with blocks of 3 so that 10 restarts cross
+    several block boundaries, and with 25 restarts in blocks of 4.  About
+    half of the searches find a hole.  The search draws each step's rows
+    only up to its last live restart and advances the generator past the
+    rest; the oracle draws them all, and in some of its blocks the last
+    restarts die before earlier ones while a later block still follows.
     """
     finds = misses = 0
-    for block in (rm._HEURISTIC_BLOCK, 3):
+    skips: list[int] = []
+    for block, sizes in ((rm._HEURISTIC_BLOCK, (1, 10)), (3, (1, 10)), (4, (25,))):
         monkeypatch.setattr(rm, "_HEURISTIC_BLOCK", block)
         for seed in range(24):
             if seed % 3 == 0:
                 g, s = rm.sample_bipartite(9, 11, 0.6, seed), 3
             else:
                 g, s = rm.sample_gnp(24, (0.55, 0.65)[seed % 2], seed), 4
-            for iters in (1, 10):
+            for iters in sizes:
                 w = rm.find_hole_heuristic(g, s, iters=iters, seed=rm.child_seed(seed, 1))
-                assert w == lockstep_reference(g, s, iters, rm.child_seed(seed, 1), block), (
-                    block, seed, iters)
+                expected = lockstep_reference(g, s, iters, rm.child_seed(seed, 1), block, skips)
+                assert w == expected, (block, seed, iters)
                 finds += w is not None
                 misses += w is None
     assert finds >= 30 and misses >= 30
+    assert len(skips) >= 20
 
 
 def test_heuristic_restart_streams():
