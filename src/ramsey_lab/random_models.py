@@ -230,20 +230,21 @@ def _host_rows(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     """Exhaustive hole search; None is a proof that no hole of size s exists.
 
-    Branch-and-bound over the left set in increasing vertex order, keeping
-    as a uint64 pool the right vertices compatible with every chosen left
-    vertex.  A child is kept only if its pool holds s vertices and enough
-    such candidates remain from it on to fill the left set; pools only
-    shrink, so no hole is lost.  The depth-first frontier is a stack of
-    frames of same-depth nodes in lexicographic order.  A step expands the
-    top frame's first rows against every later candidate at once and
-    pushes their children, row by row and so again in order.  Every node
-    before the block is exhausted by then, so the first depth-s child is
-    the lexicographically-first left set, returned with the s smallest
-    vertices of its pool.  The block starts at one row, for hosts with an
-    early hole, and doubles per step up to ``_EXACT_BLOCK`` = 1024 rows: the
-    stack holds at most s frames of ``_EXACT_BLOCK`` times |left| nodes of 24
-    bytes, 11.8 MB at the caps.
+    Branch-and-bound over the left set in increasing vertex order, keeping as
+    a uint64 pool the right vertices compatible with every chosen left vertex.
+    A candidate is live if its child's pool holds s vertices, and it is kept
+    when need - 1 more live ones follow it in its row (need: left vertices
+    still to choose), counted on the ``flatnonzero`` list of live cells; pools
+    only shrink, so no hole is lost.  The depth-first frontier is a stack of
+    frames of same-depth nodes in lexicographic order.  A step expands the top
+    frame's first rows against every later candidate at once and pushes their
+    children, row by row and so again in order.  Every node before the block
+    is exhausted by then, so the first depth-s child is the
+    lexicographically-first left set, returned with the s smallest vertices of
+    its pool.  The block starts at one row, for hosts with an early hole, and
+    doubles per step up to ``_EXACT_BLOCK`` = 1024 rows: the stack holds at
+    most s frames of ``_EXACT_BLOCK`` times |left| nodes of 24 bytes, 11.8 MB
+    at the caps.
 
     The left set ranges over ``sides[0]`` of the ``_host_rows`` table and
     the pools over ``sides[1]`` (classes 0 and 1 of a 2-class host).  With
@@ -265,7 +266,8 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     # a frame: depth; per node the pool, chosen left indices as bits, last index
     stack = [(0, np.array([pool0], dtype=np.uint64), np.zeros(1, np.uint64), np.full(1, -1))]
     # every step's q lives here: a new array of up to 1024 rows would be a fresh mmap,
-    # paged in again at each step (about 450 page faults per G(60, 0.47) host)
+    # paged in again at each step (about 450 page faults per G(60, 0.47) host); the rank's
+    # arange stays per step at the live list's size: a 480 KB one per search mmaps (0.72x)
     buf = np.empty(_EXACT_BLOCK * len(left), np.uint64)
     width = 1
     while stack:
@@ -279,13 +281,14 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
         q = buf[: len(pools) * span].reshape(len(pools), span)
         np.bitwise_and(pools[:, None], cand[lo:], out=q)
         live = (np.bitwise_count(q) >= s) & (col[lo:] > last[:, None])
-        rank = np.cumsum(live, axis=1, dtype=np.uint8)  # live candidates up to j
-        keep = live & (rank + (need - 1) <= rank[:, -1:])
+        flat = np.flatnonzero(live)
+        rows, js = np.divmod(flat, span)
+        ends = np.bincount(rows).cumsum()  # each live row's end in flat
+        keep = np.arange(need - 1, len(flat) + need - 1) < ends.take(rows)  # need - 1 more follow
         if not depth and graph.side is None:
             q &= above  # swap symmetry: the hole's minimum vertex is on the left
-            keep &= np.bitwise_count(q) >= s
-        flat = np.flatnonzero(keep)
-        rows, js = np.divmod(flat, span)
+            keep &= np.bitwise_count(q.ravel().take(flat)) >= s
+        flat, rows, js = flat[keep], rows[keep], js[keep]
         js += lo
         if len(rows) and need == 1:
             lefts = [left[i] for i in _bits(int(chosen[rows[0]] | bit[js[0]]))]

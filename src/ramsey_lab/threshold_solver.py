@@ -36,8 +36,6 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Union
 
-from mpmath import iv
-
 from .errors import InfeasibleDensityError
 
 Rational = Union[int, Fraction]
@@ -240,6 +238,7 @@ def _enclosure(c: Fraction):
     precision 64 + 3*log2 c bits: the terms of k1 are ~c*ln(c) and cancel to
     ~ln(c)/c, which these widths resolve to ~1e-18 relative for every binary64 c.
     """
+    from mpmath import iv  # lazily: most commands never solve, and loading mpmath costs ~25 ms
     log2c = max(1, c.numerator.bit_length() - c.denominator.bit_length() + 1)
     bits = 64 + 2 * log2c
     m = _bracket(c, bits)
@@ -302,6 +301,7 @@ def check_density_certificate(c: Rational, d: Rational) -> CertificateCheck:
     d = Fraction(d)
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
+    from mpmath import iv
     with _enclosure(c) as (a, k0, k1):
         top = (k0 + k1 * (iv.mpf(d.numerator) / d.denominator)).b
         return CertificateCheck(ok=bool(top <= 0), max_exponent=float(top), worst_a=float(a))

@@ -770,6 +770,41 @@ def test_module_entry_point_subprocess():
     assert json.loads(proc.stderr.splitlines()[-1])["command"] == "solve"
 
 
+_MPMATH_PROBE = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import ramsey_lab.cli as cli
+
+def run(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), "mpmath" in sys.modules
+
+print(json.dumps([run("construct", "--leaf-tree", "5"),
+                  run("arrow", "--host", "K6", "--targets", "C3,C3"),
+                  run("solve", "--model", "regular", "--c", "95412"),
+                  run("reproduce")]))
+"""
+
+
+def test_mpmath_loads_only_for_the_regular_solver(capsys):
+    """construct and arrow never import mpmath; solve and reproduce print the same bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    construct, arrow, solve, reproduce = json.loads(proc.stdout)
+    assert construct[0] == arrow[0] == 0
+    assert not construct[2] and not arrow[2]
+    assert solve[2] and reproduce[2]
+    assert solve[:2] == [0, run_cli(capsys, "solve", "--model", "regular", "--c", "95412")[1]]
+    assert reproduce[:2] == [0, run_cli(capsys, "reproduce")[1]]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -475,6 +475,63 @@ def test_find_hole_exact_witness_does_not_depend_on_the_block_cap(monkeypatch):
             assert rm.find_hole_exact(g, s) == expected[i], (block, i)
 
 
+class _RankSpy:
+    """numpy as `random_models` sees it, recording each exact-search step's rank inputs.
+
+    A step lists its (rows, candidates) live mask with ``flatnonzero`` and
+    then ranks the list against ``arange(need - 1, ...)``; each step is kept
+    as the pair (live candidates per row, need).
+    """
+
+    def __init__(self):
+        self.steps: list[tuple[np.ndarray, int]] = []
+        self._counts = None
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        if a.ndim == 2:
+            self._counts = a.sum(1)
+        return np.flatnonzero(a)
+
+    def arange(self, *args):
+        if len(args) == 2 and self._counts is not None:
+            self.steps.append((self._counts, int(args[0]) + 1))
+            self._counts = None
+        return np.arange(*args)
+
+
+def test_find_hole_exact_rank_rule_edge_frames(monkeypatch):
+    """The rank rule keeps a live candidate iff need - 1 more live ones follow it in its row.
+
+    Small dense hosts give frames whose rows are empty (the last one too),
+    rows with fewer than need live candidates, need = 1 steps, s = 1 and
+    bipartite hosts; at every block cap the witness must be the plain
+    search's, and the spy shows that each kind of frame occurred.
+    """
+    shapes = ((14, 0.75, 3), (20, 0.7, 3), (12, 0.8, 2), (9, 0.9, 1), (24, 0.65, 4))
+    hosts = [(rm.sample_gnp(n, p, seed), s) for seed in range(6) for n, p, s in shapes]
+    hosts += [(rm.sample_bipartite(8, 9, 0.35, seed), 3) for seed in range(6)]
+    hosts += [(rm.sample_bipartite(3, 4, 0.9, seed), 1) for seed in range(6)]
+    expected = [plain_branch_and_bound(g, s) for g, s in hosts]
+    assert 10 <= sum(w is not None for w in expected) <= len(hosts) - 10
+    spy = _RankSpy()
+    monkeypatch.setattr(rm, "np", spy)
+    for block in (1, 3, 1024):
+        monkeypatch.setattr(rm, "_EXACT_BLOCK", block)
+        spy.steps.clear()
+        for i, (g, s) in enumerate(hosts):
+            assert rm.find_hole_exact(g, s) == expected[i], (block, i)
+        steps = spy.steps
+        assert sum(c[-1] == 0 for c, _ in steps) >= 10, block  # last row empty
+        assert sum(bool(((c > 0) & (c < need)).any()) for c, need in steps) >= 10, block
+        assert sum(need == 1 for _, need in steps) >= 10, block
+        if block > 1:
+            assert sum(bool((c[:-1] == 0).any()) for c, _ in steps) >= 10, block
+            assert sum(len(c) > 1 for c, _ in steps) >= 10, block
+
+
 def test_heuristic_returns_verified_witnesses_only():
     for seed in range(25):
         g = rm.sample_gnp(30, 0.15, seed)
