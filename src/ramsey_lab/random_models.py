@@ -37,6 +37,9 @@ HOLE_EXACT_VERTEX_CAP = 60  # at most 64: the exact search packs pools in a uint
 HOLE_EXACT_SIZE_CAP = 8
 #: most frontier nodes the exact hole search expands in one numpy step
 _EXACT_BLOCK = 1024
+#: live-test thresholds: [s, last + 1, j] is s for j > last, else 255, beyond any popcount
+_NEED_AT = np.where(np.triu(np.ones((HOLE_EXACT_VERTEX_CAP + 1, HOLE_EXACT_VERTEX_CAP), bool)),
+                    np.arange(HOLE_EXACT_SIZE_CAP + 1, dtype=np.uint8)[:, None, None], np.uint8(255))
 #: most expected rejection attempts a simple pairing draw may need
 PAIRING_ATTEMPTS_CAP = 100_000
 #: most hole searches (trials times heuristic restarts) or simple pairing
@@ -232,9 +235,11 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
 
     Branch-and-bound over the left set in increasing vertex order, keeping as
     a uint64 pool the right vertices compatible with every chosen left vertex.
-    A candidate is live if its child's pool holds s vertices, and it is kept
-    when need - 1 more live ones follow it in its row (need: left vertices
-    still to choose), counted on the ``flatnonzero`` list of live cells; pools
+    A candidate is live if it follows the node's last index and its child's
+    pool holds s vertices: its popcount reaches row last + 1 of ``_NEED_AT``,
+    s after last and 255 (out of reach) elsewhere.  It is kept when need - 1
+    more live ones follow it in its row (need: left vertices still to choose),
+    counted on the ``flatnonzero`` list of live cells; pools
     only shrink, so no hole is lost.  The depth-first frontier is a stack of
     frames of same-depth nodes in lexicographic order.  A step expands the top
     frame's first rows against every later candidate at once and pushes their
@@ -261,8 +266,8 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
     left, pool0 = _bits(int(sides[0, 0])), sides[1, 0]
     cand = pool0 & drop[left, 0]
     above = pool0 & -np.left_shift(np.uint64(2), np.array(left, np.uint64))  # bits above v
-    col = np.arange(len(left))
-    bit = np.left_shift(np.uint64(1), col.astype(np.uint64))
+    bit = np.left_shift(np.uint64(1), np.arange(len(left)).astype(np.uint64))
+    need_at = _NEED_AT[s, :, : len(left)]
     # a frame: depth; per node the pool, chosen left indices as bits, last index
     stack = [(0, np.array([pool0], dtype=np.uint64), np.zeros(1, np.uint64), np.full(1, -1))]
     # every step's q lives here: a new array of up to 1024 rows would be a fresh mmap,
@@ -280,16 +285,16 @@ def find_hole_exact(graph: Graph, s: int) -> Optional[HoleWitness]:
         span = len(left) - lo
         q = buf[: len(pools) * span].reshape(len(pools), span)
         np.bitwise_and(pools[:, None], cand[lo:], out=q)
-        live = (np.bitwise_count(q) >= s) & (col[lo:] > last[:, None])
+        live = np.bitwise_count(q) >= need_at[:, lo:].take(last + 1, 0)
         flat = np.flatnonzero(live)
-        rows, js = np.divmod(flat, span)
+        rows = flat // span
         ends = np.bincount(rows).cumsum()  # each live row's end in flat
         keep = np.arange(need - 1, len(flat) + need - 1) < ends.take(rows)  # need - 1 more follow
         if not depth and graph.side is None:
             q &= above  # swap symmetry: the hole's minimum vertex is on the left
             keep &= np.bitwise_count(q.ravel().take(flat)) >= s
-        flat, rows, js = flat[keep], rows[keep], js[keep]
-        js += lo
+        flat, rows = flat[keep], rows[keep]
+        js = flat - rows * span + lo
         if len(rows) and need == 1:
             lefts = [left[i] for i in _bits(int(chosen[rows[0]] | bit[js[0]]))]
             return HoleWitness(frozenset(lefts), frozenset(_bits(int(q.ravel()[flat[0]]))[:s]))

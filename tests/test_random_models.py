@@ -399,19 +399,23 @@ def test_exact_vertex_cap_fits_one_word():
     assert rm.HOLE_EXACT_VERTEX_CAP <= 64
 
 
+def shuffled_classes(base: Graph, rng: random.Random) -> Graph:
+    """A 2-class host with its vertices permuted by rng, so that its classes interleave."""
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    side = [0] * base.n
+    for v in range(base.n):
+        side[perm[v]] = base.side[v]
+    return Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges], side=side)
+
+
 def test_find_hole_exact_matches_plain_search_on_shuffled_classes():
     """2-class hosts whose classes interleave, so left indices and vertices differ."""
     holes = empty = 0
     for seed in range(24):
         rng = random.Random(seed)
         n1, n2 = rng.randint(4, 14), rng.randint(4, 14)
-        base = rm.sample_bipartite(n1, n2, rng.choice([0.3, 0.5, 0.7]), seed)
-        perm = list(range(base.n))
-        rng.shuffle(perm)
-        side = [0] * base.n
-        for v in range(base.n):
-            side[perm[v]] = base.side[v]
-        g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges], side=side)
+        g = shuffled_classes(rm.sample_bipartite(n1, n2, rng.choice([0.3, 0.5, 0.7]), seed), rng)
         s = rng.randint(1, 4)
         w = rm.find_hole_exact(g, s)
         assert w == plain_branch_and_bound(g, s), (seed, s)
@@ -530,6 +534,73 @@ def test_find_hole_exact_rank_rule_edge_frames(monkeypatch):
         if block > 1:
             assert sum(bool((c[:-1] == 0).any()) for c, _ in steps) >= 10, block
             assert sum(len(c) > 1 for c, _ in steps) >= 10, block
+
+
+def test_exact_live_table_matches_an_oracle():
+    """Row last + 1 of the table for size s reads s where j > last and out of reach elsewhere."""
+    table = rm._NEED_AT
+    assert table.dtype == np.uint8
+    assert table.shape == (rm.HOLE_EXACT_SIZE_CAP + 1, rm.HOLE_EXACT_VERTEX_CAP + 1,
+                           rm.HOLE_EXACT_VERTEX_CAP)
+    out_of_reach = 255  # above 64, the most vertices a uint64 pool holds
+    for s in range(rm.HOLE_EXACT_SIZE_CAP + 1):
+        for last in range(-1, rm.HOLE_EXACT_VERTEX_CAP):
+            expected = [s if j > last else out_of_reach for j in range(rm.HOLE_EXACT_VERTEX_CAP)]
+            assert table[s, last + 1].tolist() == expected, (s, last)
+
+
+def test_find_hole_exact_live_table_rows(monkeypatch):
+    """The live test reads the table at each node's last index + 1; witnesses stay the plain search's.
+
+    A spy on the table records the rows each step reads.  Every search reads
+    the root row (last = -1).  A node whose only later candidate is the
+    final one reads the last row in reach: random hosts rarely push one, so
+    hand-built 2-class hosts force it at every s from 2 to 8.  No node's
+    last is the final candidate itself: the rank rule keeps such a child
+    only at need = 1, where the search returns, so the all-out-of-reach row
+    is never read.  Hosts: s = 1, s = 8, dense small hosts and bipartite
+    ones, whose left set is class 0 alone and need not start at vertex 0.
+    """
+    reads: list[np.ndarray] = []
+
+    class TableSpy(np.ndarray):
+        def take(self, indices, axis=None, out=None, mode="raise"):
+            reads.append(np.array(indices))
+            return self.view(np.ndarray).take(indices, axis, out, mode)
+
+    def split_pool_host(s):
+        """Left class 0..s-1 and right class s..3s-1, with no hole of size s.
+
+        The last two left vertices miss disjoint halves of the right class
+        and the others miss all of it, so the node of the first s - 1 left
+        vertices keeps a pool of s but its only child, the final candidate,
+        has none.
+        """
+        edges = [(s - 2, v) for v in range(2 * s, 3 * s)] + [(s - 1, v) for v in range(s, 2 * s)]
+        return Graph(3 * s, edges, side=[0] * s + [1] * (2 * s))
+
+    hosts = [(split_pool_host(s), s) for s in range(2, rm.HOLE_EXACT_SIZE_CAP + 1)]
+    hosts += [(rm.sample_gnp(2 + seed % 8, 0.85, seed), 1) for seed in range(16)]
+    hosts += [(rm.sample_gnp(60, p, seed), 8) for p in (0.05, 0.47) for seed in range(3)]
+    hosts += [(rm.sample_gnp(14, 0.75, seed), 3) for seed in range(6)]
+    hosts += [(shuffled_classes(rm.sample_bipartite(n1, n2, p, seed), random.Random(seed)), s)
+              for n1, n2, p, s in ((8, 13, 0.35, 3), (3, 5, 0.9, 1)) for seed in range(6)]
+    expected = [plain_branch_and_bound(g, s) for g, s in hosts]
+    assert 10 <= sum(w is not None for w in expected) <= len(hosts) - 10
+    monkeypatch.setattr(rm, "_NEED_AT", rm._NEED_AT.view(TableSpy))
+    for block in (1, 3, 1024):
+        monkeypatch.setattr(rm, "_EXACT_BLOCK", block)
+        last_in_reach = 0
+        for i, (g, s) in enumerate(hosts):
+            reads.clear()
+            assert rm.find_hole_exact(g, s) == expected[i], (block, i)
+            n_left = g.n if g.side is None else g.side.count(0)
+            rows = np.concatenate(reads) if reads else np.zeros(0, int)
+            if 2 * s <= g.n:
+                assert rows[0] == 0, (block, i)  # the root, last = -1
+            assert rows.min(initial=0) >= 0 and rows.max(initial=0) < n_left, (block, i)
+            last_in_reach += int((rows == n_left - 1).sum())
+        assert last_in_reach >= rm.HOLE_EXACT_SIZE_CAP - 1, block
 
 
 def test_heuristic_returns_verified_witnesses_only():
