@@ -11,9 +11,11 @@ Targets are exact-length cycles and bicliques.  The search keeps one
 adjacency bitset list per color and tests only the newly colored edge:
 the class was target-free before it, so a new target must use it (a
 cycle closes through it, a biclique has it as a cross edge).  Every
-returned good coloring is re-verified by the whole-graph containment
-tests, which share no code with the through-edge tests.  One work budget,
-ARROW_WORK_CAP, bounds every search, whatever the host's size.
+returned good coloring is re-verified by one whole-graph containment
+test, ``class_contains_target``, which shares no code with the
+through-edge tests; a ``side`` labelling is its only class switch.  One
+work budget, ARROW_WORK_CAP, bounds every search, whatever the host's
+size.
 """
 
 from __future__ import annotations
@@ -90,24 +92,7 @@ def parse_targets(text: str) -> tuple[Target, ...]:
     return tuple(targets)
 
 
-# ── containment tests ────────────────────────────────────────────────────────
-
-
-def has_cycle_length(graph: Graph, length: int) -> bool:
-    """Exact test for a simple cycle on exactly `length` vertices."""
-    return class_contains_target(graph.n, graph.edges, CycleTarget(length))
-
-
-def has_biclique(
-    graph: Graph,
-    m1: int,
-    m2: int,
-    respect_bipartition: bool = False,
-) -> bool:
-    """Exact test for disjoint sets A (|A|=m1), B (|B|=m2), all cross edges present."""
-    return class_contains_target(
-        graph.n, graph.edges, BicliqueTarget(m1, m2), graph.side, respect_bipartition
-    )
+# ── containment test ─────────────────────────────────────────────────────────
 
 
 def class_contains_target(
@@ -115,17 +100,17 @@ def class_contains_target(
     class_edges: tuple[tuple[int, int], ...],
     target: Target,
     side=None,
-    respect_bipartition: bool = False,
 ) -> bool:
     """Whole-graph test: does the graph with these edges contain `target`?
 
     It checks the edges and ``side`` as ``Graph`` does.  A cycle is
     found by DFS from each start vertex (the cycle's minimum, so each cycle
     is searched in canonical position once) extending simple paths and
-    closing back to the start at the right length.  A biclique is found by
-    enumerating candidate A-sets and checking their common neighbourhood;
-    with ``respect_bipartition`` A lies in class 0 and B in class 1 of
-    ``side``, in either orientation of an asymmetric biclique.
+    closing back to the start at the right length; it ignores ``side``.  A
+    biclique is found by enumerating candidate A-sets and checking their
+    common neighbourhood.  Without ``side`` its parts may use any vertices;
+    with it A lies in class 0 and B in class 1, in either orientation of an
+    asymmetric biclique.
     """
     side = _checked_side(graph_n, side)
     if graph_n > TARGET_VERTEX_CAP:
@@ -163,9 +148,7 @@ def class_contains_target(
     m1, m2 = target.m1, target.m2
     a_pool = b_pool = (1 << graph_n) - 1
     sizes = {(m1, m2)}
-    if respect_bipartition:
-        if side is None:
-            raise ValueError("respect_bipartition needs a 2-class labelled host")
+    if side is not None:
         b_pool = sum(1 << v for v, c in enumerate(side) if c)
         a_pool ^= b_pool
         sizes.add((m2, m1))
@@ -231,19 +214,18 @@ def verify_coloring_avoids_targets(
 ) -> bool:
     """Independent witness check: no color class i contains target i.
 
-    An edgeless class holds no target, so it is not searched (and does
-    not meet the vertex cap of the containment tests).
+    With ``respect_bipartition`` bicliques respect the host's 2-class
+    labelling, which it must carry.  An edgeless class holds no target, so
+    it is not searched (and does not meet the vertex cap of the
+    containment test).
     """
     host = coloring.host
+    if respect_bipartition and host.side is None:
+        raise ValueError("respect_bipartition needs a 2-class labelled host")
+    side = host.side if respect_bipartition else None
     for i, target in enumerate(targets, start=1):
         class_edges = coloring.color_class(i)
-        if class_edges and class_contains_target(
-            host.n,
-            class_edges,
-            target,
-            side=host.side,
-            respect_bipartition=respect_bipartition,
-        ):
+        if class_edges and class_contains_target(host.n, class_edges, target, side):
             return False
     return True
 
@@ -304,10 +286,10 @@ def _search(
         # the class-0 endpoint (any endpoint without classes) on the m1 side or the m2 side
         sizes = [(m1, m2)] if m1 == m2 else [(m1, m2), (m2, m1)]
         side = host.side if respect_bipartition else None
-        if side is None:
-            pool_a = pool_b = (1 << host.n) - 1
-        else:
-            pool_a, pool_b = host.side_mask(0), host.side_mask(1)
+        pool_a = pool_b = (1 << host.n) - 1
+        if side is not None:
+            pool_b = sum(1 << v for v, c in enumerate(side) if c)
+            pool_a ^= pool_b
 
         def cross(adj: list[int], a: int, b: int) -> bool:
             """A biclique A (|A|=s1) within pool_a, B (|B|=s2) within pool_b, a in A, b in B.
@@ -416,8 +398,6 @@ __all__ = [
     "BicliqueTarget",
     "Target",
     "parse_targets",
-    "has_cycle_length",
-    "has_biclique",
     "class_contains_target",
     "EdgeColoring",
     "ArrowResult",

@@ -106,7 +106,7 @@ class BoundReport:
     def as_dict(self) -> dict:
         return {
             "model": self.model,
-            "c": format_rational(self.c),
+            "c": str(self.c),
             "c_float": float(self.c),
             "d": self.d,
             "coefficient": self.coefficient,
@@ -114,17 +114,10 @@ class BoundReport:
             "coefficient_exact": (
                 None
                 if self.coefficient_exact is None
-                else format_rational(self.coefficient_exact)
+                else str(self.coefficient_exact)
             ),
             "constraint_ok": self.constraint_ok,
         }
-
-
-def format_rational(x: Rational) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # ── the linear-form recursion ────────────────────────────────────────────────
@@ -288,8 +281,6 @@ def size_ramsey_regular(
     if d < 0:
         raise ValueError("density d must be nonnegative")
     if verify:
-        if d == 0:
-            raise ValueError("d=0 is not certifiable; pass verify=False for degenerate input")
         check = threshold_solver.check_density_certificate(c, d)
         if not check.ok:
             raise ValueError(
@@ -347,5 +338,4 @@ __all__ = [
     "size_ramsey_gnp",
     "size_ramsey_regular",
     "size_ramsey_bipartite",
-    "format_rational",
 ]

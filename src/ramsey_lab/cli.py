@@ -32,7 +32,6 @@ from . import __version__
 from .bounds import (
     BoundReport,
     CycleSpec,
-    format_rational,
     host_constant,
     ramsey_linear_form,
     size_ramsey_bipartite,
@@ -87,8 +86,6 @@ def fmt(x) -> str:
         return "-"
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, Fraction)):
-        return format_rational(x)
     if isinstance(x, float):
         return "%.12g" % x
     return str(x)
@@ -163,7 +160,7 @@ def cmd_bounds(args) -> str:
 def cmd_solve(args) -> str:
     c = _parse_rational(args.c)
     if c <= 0:
-        raise ValueError(f"density constant must be positive, got {format_rational(c)}")
+        raise ValueError(f"density constant must be positive, got {c}")
     if args.model == "regular":
         res = regular_min_density(c)
         doc = res.as_dict()
@@ -173,8 +170,8 @@ def cmd_solve(args) -> str:
         d = gnp_min_density(rho) if args.model == "gnp" else bipartite_min_density(rho)
         doc = {
             "model": args.model,
-            "c": format_rational(c),
-            "rho": format_rational(rho),
+            "c": str(c),
+            "rho": str(rho),
             "d_min": d,
             "density_ceiling": math.ceil(d),
         }
@@ -453,7 +450,7 @@ def _manifest(args, out: str) -> str:
     doc = {
         "version": __version__,
         "command": args.command,
-        "params": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in sorted(params.items())},
+        "params": dict(sorted(params.items())),
         "seed": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "output_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),

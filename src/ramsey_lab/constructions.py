@@ -130,9 +130,9 @@ class Multigraph:
 class Graph(Multigraph):
     """Immutable simple graph (loops refused, repeats dropped) with optional 2-class labels.
 
-    ``side`` (when present) assigns each vertex 0 or 1; bipartite-aware
-    code (crossing-hole search, class-respecting biclique containment)
-    uses it, everything else ignores it.
+    ``side`` (when present) is a tuple giving each vertex its class, 0 or
+    1; bipartite-aware code (crossing-hole search, class-respecting
+    biclique containment) reads it as it is, everything else ignores it.
     """
 
     __slots__ = ("side",)
@@ -141,12 +141,6 @@ class Graph(Multigraph):
     def __init__(self, n: int, edges: Iterable, side: Optional[Sequence[int]] = None):
         super().__init__(n, edges)
         self.side = _checked_side(n, side)
-
-    def side_mask(self, s: int) -> int:
-        """The vertices of class s as an int bitmask."""
-        if self.side is None:
-            raise ValueError("graph carries no 2-class labelling")
-        return sum(1 << v for v, c in enumerate(self.side) if c == s)
 
     def __eq__(self, other) -> bool:
         return (

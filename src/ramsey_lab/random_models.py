@@ -27,7 +27,6 @@ from typing import Optional, Union
 import numpy as np
 
 from . import __version__
-from .bounds import format_rational
 from .errors import CapExceededError
 from .constructions import Graph, Multigraph, _bits, _check_size
 
@@ -435,7 +434,7 @@ class TrialReport:
     version: str = field(default=__version__)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "freq": format_rational(self.freq)}
+        return {**asdict(self), "freq": str(self.freq)}
 
 
 def estimate_hole_probability(
@@ -533,7 +532,6 @@ def estimate_hole_probability(
         ci_high=ci_high,
         mode=mode,
         seed=seed,
-        version=__version__,
     )
 
 

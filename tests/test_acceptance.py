@@ -21,7 +21,7 @@ from ramsey_lab.arrow_checker import (
     CycleTarget,
     EdgeColoring,
     arrows,
-    has_cycle_length,
+    class_contains_target,
     verify_coloring_avoids_targets,
 )
 from ramsey_lab.bounds import CycleSpec
@@ -177,7 +177,7 @@ def test_criterion_09_arrow_ground_truth_and_oracle():
     assert verify_coloring_avoids_targets(r5.witness, diag)
     for color in (1, 2):
         cls = r5.witness.color_class(color)
-        assert len(cls) == 5 and has_cycle_length(Graph(5, cls), 5)
+        assert len(cls) == 5 and class_contains_target(5, cls, CycleTarget(5))
 
     # pruned search vs plain enumeration on every 5-vertex host (all have
     # <= 10 edges) and on larger-support hosts at the 10-edge limit

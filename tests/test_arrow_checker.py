@@ -16,6 +16,14 @@ from ramsey_lab.errors import CapExceededError
 from conftest import has_edge, with_edge
 
 
+def has_cycle(graph: Graph, length: int) -> bool:
+    return ac.class_contains_target(graph.n, graph.edges, CycleTarget(length))
+
+
+def has_biclique(graph: Graph, m1: int, m2: int, side=None) -> bool:
+    return ac.class_contains_target(graph.n, graph.edges, BicliqueTarget(m1, m2), side)
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -57,32 +65,32 @@ def test_target_validation():
 
 def test_has_cycle_length_basics():
     c5 = Graph.cycle(5)
-    assert ac.has_cycle_length(c5, 5)
-    assert not ac.has_cycle_length(c5, 3)
-    assert not ac.has_cycle_length(c5, 4)
+    assert has_cycle(c5, 5)
+    assert not has_cycle(c5, 3)
+    assert not has_cycle(c5, 4)
     k4 = Graph.complete(4)
-    assert ac.has_cycle_length(k4, 3)
-    assert ac.has_cycle_length(k4, 4)
-    assert not ac.has_cycle_length(k4, 5)  # not enough vertices
-    assert not ac.has_cycle_length(Graph(6, []), 3)
+    assert has_cycle(k4, 3)
+    assert has_cycle(k4, 4)
+    assert not has_cycle(k4, 5)  # not enough vertices
+    assert not has_cycle(Graph(6, []), 3)
 
 
 def test_has_cycle_length_petersen():
     g = petersen()  # girth 5, no Hamilton cycle, 6-cycles exist
-    assert not ac.has_cycle_length(g, 3)
-    assert not ac.has_cycle_length(g, 4)
-    assert ac.has_cycle_length(g, 5)
-    assert ac.has_cycle_length(g, 6)
-    assert ac.has_cycle_length(g, 9)
-    assert not ac.has_cycle_length(g, 10)
+    assert not has_cycle(g, 3)
+    assert not has_cycle(g, 4)
+    assert has_cycle(g, 5)
+    assert has_cycle(g, 6)
+    assert has_cycle(g, 9)
+    assert not has_cycle(g, 10)
 
 
 def test_has_cycle_length_validation_and_cap():
     with pytest.raises(ValueError):
-        ac.has_cycle_length(Graph.complete(4), 2)
+        has_cycle(Graph.complete(4), 2)
     with pytest.raises(CapExceededError):
-        ac.has_cycle_length(Graph(21, []), 3)
-    assert not ac.has_cycle_length(Graph(20, []), 3)
+        has_cycle(Graph(21, []), 3)
+    assert not has_cycle(Graph(20, []), 3)
 
 
 def brute_force_has_cycle(graph: Graph, length: int) -> bool:
@@ -109,32 +117,33 @@ def test_has_cycle_length_matches_brute_force():
         n = rng.randint(3, 7)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
         for length in range(3, n + 1):
-            assert ac.has_cycle_length(g, length) == brute_force_has_cycle(g, length)
+            assert has_cycle(g, length) == brute_force_has_cycle(g, length)
 
 
 def test_has_biclique_basics():
     c6 = Graph.cycle(6)
-    assert ac.has_biclique(c6, 1, 2)  # any path mid-vertex
-    assert not ac.has_biclique(c6, 2, 2)  # girth 6: no 4-cycle
+    assert has_biclique(c6, 1, 2)  # any path mid-vertex
+    assert not has_biclique(c6, 2, 2)  # girth 6: no 4-cycle
     k33 = Graph.complete_bipartite(3, 3)
-    assert ac.has_biclique(k33, 2, 3)
-    assert ac.has_biclique(k33, 3, 3)
-    assert not ac.has_biclique(k33, 3, 4)
-    assert ac.has_biclique(Graph.complete(5), 2, 3)  # bicliques live in cliques too
+    assert has_biclique(k33, 2, 3)
+    assert has_biclique(k33, 3, 3)
+    assert not has_biclique(k33, 3, 4)
+    assert has_biclique(Graph.complete(5), 2, 3)  # bicliques live in cliques too
     with pytest.raises(ValueError):
-        ac.has_biclique(c6, 0, 2)
+        has_biclique(c6, 0, 2)
     with pytest.raises(CapExceededError):
-        ac.has_biclique(Graph(21, []), 1, 1)
+        has_biclique(Graph(21, []), 1, 1)
 
 
 def test_has_biclique_respects_and_flips_orientation():
     star = Graph.complete_bipartite(1, 3)
-    assert ac.has_biclique(star, 1, 3, respect_bipartition=True)
+    assert has_biclique(star, 1, 3, star.side)
     # asymmetric target also found with parts swapped across the classes
-    assert ac.has_biclique(star, 3, 1, respect_bipartition=True)
-    assert not ac.has_biclique(star, 2, 2, respect_bipartition=True)
-    with pytest.raises(ValueError, match="2-class"):
-        ac.has_biclique(Graph.complete(4), 1, 1, respect_bipartition=True)
+    assert has_biclique(star, 3, 1, star.side)
+    assert not has_biclique(star, 2, 2, star.side)
+    # without a labelling the parts may use any vertices
+    assert has_biclique(Graph.complete(4), 2, 2)
+    assert not has_biclique(Graph.complete(4), 2, 2, (0, 0, 0, 1))
 
 
 def brute_force_has_biclique(graph: Graph, m1: int, m2: int) -> bool:
@@ -153,7 +162,7 @@ def test_has_biclique_matches_brute_force():
         n = rng.randint(2, 7)
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
         for m1, m2 in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-            assert ac.has_biclique(g, m1, m2) == brute_force_has_biclique(g, m1, m2)
+            assert has_biclique(g, m1, m2) == brute_force_has_biclique(g, m1, m2)
 
 
 def test_has_biclique_across_classes_matches_brute_force():
@@ -170,7 +179,7 @@ def test_has_biclique_across_classes_matches_brute_force():
                 for a_set in combinations(cls[0], p)
                 for b_set in combinations(cls[1], q)
             )
-            assert ac.has_biclique(g, m1, m2, respect_bipartition=True) == want
+            assert has_biclique(g, m1, m2, g.side) == want
 
 
 def test_class_contains_target_checks_its_input():
@@ -179,14 +188,15 @@ def test_class_contains_target_checks_its_input():
         ac.class_contains_target(3, ((1, 1),), c3)
     with pytest.raises(ValueError, match="out of range"):
         ac.class_contains_target(3, ((0, 3),), c3)
-    with pytest.raises(ValueError, match="side"):
-        ac.class_contains_target(3, ((0, 1),), k11, side=(0, 1), respect_bipartition=True)
+    for target in (c3, k11):  # cycles ignore the classes but still check them
+        with pytest.raises(ValueError, match="side"):
+            ac.class_contains_target(3, ((0, 1),), target, side=(0, 1))
     with pytest.raises(CapExceededError, match="capped at 20 vertices"):
         ac.class_contains_target(21, ((0, 1),), c3)
     with pytest.raises(CapExceededError, match="capped at 20 vertices"):
         ac.class_contains_target(21, ((0, 1),), k11)
     assert not ac.class_contains_target(20, ((0, 1),), c3)
-    assert ac.class_contains_target(20, ((0, 1),), k11, side=[0, 1] * 10, respect_bipartition=True)
+    assert ac.class_contains_target(20, ((0, 1),), k11, side=[0, 1] * 10)
 
 
 # ── colorings ────────────────────────────────────────────────────────────────
@@ -212,6 +222,10 @@ def test_verify_coloring_avoids_targets():
     t = (CycleTarget(3), CycleTarget(3))
     assert not ac.verify_coloring_avoids_targets(mono, t)
     assert ac.verify_coloring_avoids_targets(split, t)
+    # respecting the classes needs a host that has them, whatever the targets
+    for targets in (t, (BicliqueTarget(1, 1),) * 2):
+        with pytest.raises(ValueError, match="2-class"):
+            ac.verify_coloring_avoids_targets(split, targets, respect_bipartition=True)
 
 
 # ── arrow decisions ──────────────────────────────────────────────────────────
@@ -231,7 +245,7 @@ def test_arrows_complete_hosts_diagonal_triangle():
     for color in (1, 2):
         cls = w.color_class(color)
         assert len(cls) == 5
-        assert ac.has_cycle_length(Graph(5, cls), 5)
+        assert has_cycle(Graph(5, cls), 5)
 
     r4 = ac.arrows(Graph.complete(4), t)
     assert not r4.arrows and r4.colorings_examined == 14

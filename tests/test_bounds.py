@@ -7,11 +7,11 @@ import pytest
 import random
 
 from ramsey_lab.bounds import (
+    BoundReport,
     CycleSpec,
     LinearForm,
     closed_form_envelope,
     eval_ramsey_form,
-    format_rational,
     host_constant,
     multicycle_host_size,
     ramsey_linear_form,
@@ -21,6 +21,7 @@ from ramsey_lab.bounds import (
     validate_length_constraints,
 )
 from ramsey_lab.constructions import ceil_log2
+from ramsey_lab.random_models import TrialReport
 
 
 # ── the linear-form recursion ────────────────────────────────────────────────
@@ -229,6 +230,9 @@ def test_regular_report_rejects_uncertified_density():
 
 
 def test_format_rational():
-    assert format_rational(Fraction(538002, 35)) == "538002/35"
-    assert format_rational(Fraction(8, 2)) == "4"
-    assert format_rational(7) == "7"
+    """Reports render their exact rationals as p/q, and whole numbers without /1."""
+    assert size_ramsey_gnp(CycleSpec.of(4, 4)).as_dict()["c"] == "538002/35"
+    whole = BoundReport("regular", Fraction(8, 2), 3.0, 6.0, None, True, Fraction(6))
+    assert (whole.as_dict()["c"], whole.as_dict()["coefficient_exact"]) == ("4", "6")
+    trial = TrialReport("gnp", {}, 4, 2, Fraction(2, 4), 0.1, 0.9, "exact", 0)
+    assert trial.as_dict()["freq"] == "1/2"

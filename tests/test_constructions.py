@@ -151,8 +151,7 @@ def test_graph_constructors():
 
     k23 = Graph.complete_bipartite(2, 3)
     assert k23.edge_count == 6
-    assert k23.side_mask(0) == 0b00011
-    assert k23.side_mask(1) == 0b11100
+    assert k23.side == (0, 0, 1, 1, 1)
     with pytest.raises(ValueError, match="positive"):  # as for M0x3: a class may not be empty
         Graph.complete_bipartite(0, 3)
 
@@ -165,8 +164,6 @@ def test_graph_constructors():
         Graph.cycle(2)
 
     assert Graph(4, []).edge_count == 0
-    with pytest.raises(ValueError):
-        Graph(4, []).side_mask(0)
 
 
 def test_graph_equality_and_with_edge():

@@ -643,7 +643,7 @@ def test_heuristic_host_table_is_capped_before_it_is_built():
 def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
     """The searches read their own host table and verify_hole reads the edge array.
 
-    With the graph's class masks and its edges tuple view made to raise,
+    With the graph's edges tuple view made to raise,
     every search, re-check and Monte Carlo returns what it returns without
     the patch: no derived copy of the edges could fool a search and its
     check together, and no host on the hole path becomes Python tuples.
@@ -667,7 +667,6 @@ def test_hole_searches_and_verify_read_no_cached_adjacency(monkeypatch):
         return out
 
     expected = results()
-    monkeypatch.setattr(Graph, "side_mask", lambda *_: pytest.fail("called Graph.side_mask"))
     monkeypatch.setattr(Multigraph, "edges", property(lambda _: pytest.fail("built the edges tuples")))
     assert results() == expected
     finds = [w for found, _, _ in expected[:len(hosts)] for w in found if w is not None]
@@ -744,7 +743,7 @@ def lockstep_reference(graph: Graph, s: int, iters: int, seed, block: int,
         return None
     adj = adjacency_bitsets(graph)
     if graph.side is not None:
-        base = [graph.side_mask(0), graph.side_mask(1)]
+        base = [sum(1 << v for v, c in enumerate(graph.side) if c == k) for k in (0, 1)]
         if min(b.bit_count() for b in base) < s:
             return None
     else:
