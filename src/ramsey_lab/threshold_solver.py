@@ -9,21 +9,23 @@ becomes nonpositive:
   ``(1-2*rho)*ln(1-2*rho) + 2*rho*ln(rho) + rho**2 * d >= 0``,
 * bipartite host: closed form from
   ``2*(1-rho)*ln(1-rho) + 2*rho*ln(rho) + rho**2 * d >= 0``,
-* random regular host: minimax over a nuisance parameter ``a`` of a
-  nine-term entropy expression ``f(a, c, d)`` which happens to be exactly
-  affine in d, so the per-a threshold is a ratio of the two affine
-  coefficients and the solve is a one-dimensional maximisation.
+* random regular host: with g(x) = x*ln(x), holes of fraction 1/c in
+  the pairing model have per-vertex exponent, for a nuisance a in [0, 1],
 
-The regular-model slope k1(a) is strictly concave, so its maximiser a*
-is the root of a cubic.  a* is bracketed by exact bisection, and k0 and
-k1 are evaluated once over the bracket in ``mpmath.iv`` interval
-arithmetic, at a precision that grows with log2(c) because the terms of
-k1 (~c*ln(c)) cancel down to ~ln(c)/c.  The solved density and the
-certificate both read off that one rigorous enclosure.
+      f(a,c,d) = g(c) + g(d) + g((c-2)*d) + g((c-1-a)*d)/2
+               - g(c-2) - g(a*d) - g((c-2-a)*d) - g((1-a)*d)/2 - g(c*d)/2.
 
-Also here: the exact (big-integer) first moment of holes in the pairing
-model, kept in ``fractions.Fraction`` so tests can compare two spellings
-of the same count bit-for-bit.
+  Its d*ln(d) terms cancel, so f = k0(c) + k1(a, c)*d, and
+  ``_coefficients`` is the one library spelling of k0 and k1.
+
+The threshold is k0 / -k1(a*) at the maximiser a* of the strictly concave
+slope k1, the root of a cubic that exact bisection brackets.  k0 and k1 are
+evaluated once over the bracket in ``mpmath.iv``, at a precision that grows
+with log2(c) because the terms of k1 (~c*ln(c)) cancel down to ~ln(c)/c.
+The solved density and the certificate read off that one rigorous enclosure.
+
+Also here: the exact first moment of holes in the pairing model, as a
+``fractions.Fraction``; ROADMAP item 3 gives it a library caller.
 """
 
 from __future__ import annotations
@@ -42,21 +44,6 @@ Rational = Union[int, Fraction]
 
 
 # ── scalar helpers ───────────────────────────────────────────────────────────
-
-
-def g(x: float) -> float:
-    """x*ln(x) extended continuously by g(0) = 0."""
-    if x < 0:
-        raise ValueError(f"g(x)=x*ln(x) needs x >= 0, got {x}")
-    return 0.0 if x == 0 else x * math.log(x)
-
-
-def ln_fraction(x: Fraction) -> float:
-    """Natural log of a positive rational with big-integer support."""
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("ln_fraction requires a positive rational")
-    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def _binary64(x: Rational, what: str) -> float:
@@ -156,53 +143,6 @@ def bipartite_min_density(rho: Union[Rational, float]) -> float:
 # ── regular-model exponent ───────────────────────────────────────────────────
 
 
-def _validate_acd(a: float, c: float, d: float) -> None:
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"a must lie in [0, 1], got {a}")
-    if c <= 3.0:
-        raise ValueError(f"c must exceed 3, got {c}")
-    if d < 0.0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-
-
-def regular_exponent(a: float, c: float, d: float) -> float:
-    """Per-vertex exponent of the expected hole count in the pairing model.
-
-    Nine-term display form, g(x) = x*ln(x):
-
-        f(a,c,d) = g(c) + g(d) + g((c-2)*d) + g((c-1-a)*d)/2
-                 - g(c-2) - g(a*d) - g((c-2-a)*d) - g((1-a)*d)/2 - g(c*d)/2
-
-    Holes of fraction 1/c die out iff max over a in [0,1] is <= 0.
-    """
-    a, c, d = float(a), float(c), float(d)
-    _validate_acd(a, c, d)
-    return (
-        g(c)
-        + g(d)
-        + g((c - 2.0) * d)
-        + 0.5 * g((c - 1.0 - a) * d)
-        - g(c - 2.0)
-        - g(a * d)
-        - g((c - 2.0 - a) * d)
-        - 0.5 * g((1.0 - a) * d)
-        - 0.5 * g(c * d)
-    )
-
-
-def regular_exponent_decompose(a: float, c: float) -> tuple[float, float]:
-    """Coefficients (k0, k1) with regular_exponent(a, c, d) = k0 + k1*d for all d.
-
-    The d*ln(d) contributions cancel identically, leaving
-
-        k0 = g(c) - g(c-2)
-        k1 = g(c-2) + g(c-1-a)/2 - g(a) - g(c-2-a) - g(1-a)/2 - g(c)/2.
-    """
-    a, c = float(a), float(c)
-    _validate_acd(a, c, 1.0)
-    return _coefficients(a, c, g)
-
-
 def _coefficients(a, c, g):
     """(k0, k1) at (a, c) for any number type that g, x*ln(x), accepts."""
     k0 = g(c) - g(c - 2)
@@ -259,12 +199,11 @@ def _round_up(x) -> float:
 
 
 def regular_min_density(c: Rational) -> DensitySolveResult:
-    """Smallest density d with max over a in [0,1] of regular_exponent <= 0.
+    """Smallest density d with max over a in [0,1] of f(a, c, d) <= 0.
 
-    The exponent is k0 + k1(a)*d with k0 > 0 and k1 concave, so the answer
-    is k0 / (-k1(a*)) at the maximiser a* of k1.  ``d_min`` is the upper end
-    of an interval enclosure of that ratio, rounded up to binary64, so it
-    is certified, and it exceeds the exact threshold by ~1e-16 relative.
+    ``d_min`` is the upper end of an interval enclosure of k0 / -k1(a*),
+    rounded up to binary64, so it is certified, and it exceeds the exact
+    threshold by ~1e-16 relative.
 
     Raises InfeasibleDensityError if the enclosure of k1(a*) does not lie
     below 0 (the exponent may then stay positive for every d), and
@@ -292,7 +231,7 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
 
 
 def check_density_certificate(c: Rational, d: Rational) -> CertificateCheck:
-    """Verify max over a in [0,1] of regular_exponent(a, c, d) <= 0.
+    """Verify max over a in [0,1] of f(a, c, d) <= 0.
 
     The maximum is k0 + k1(a*)*d; the check passes iff the upper end of
     its interval enclosure is <= 0, so a passing check is rigorous.
@@ -366,12 +305,8 @@ def exact_first_moment(m: int, c: int, d: int, a: Rational) -> Fraction:
 __all__ = [
     "DensitySolveResult",
     "CertificateCheck",
-    "g",
-    "ln_fraction",
     "gnp_min_density",
     "bipartite_min_density",
-    "regular_exponent",
-    "regular_exponent_decompose",
     "regular_min_density",
     "check_density_certificate",
     "matching_count",

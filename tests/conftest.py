@@ -1,10 +1,12 @@
 """Shared pytest wiring: a PASS/FAIL summary line per acceptance criterion,
 an independent high-precision oracle for the regular-model density, a
-planted-hole generator for the hole searches, and small graph helpers that
-only tests need (import them with ``from conftest import ...``)."""
+planted-hole generator for the hole searches, and small graph and
+regular-exponent helpers that only tests need (import them with
+``from conftest import ...``)."""
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -50,6 +52,25 @@ def leaves(tree) -> np.ndarray:
 def tree_graph(tree) -> Graph:
     """A RootedTree as a Graph on the same vertices."""
     return Graph(tree.n, tree_edges(tree))
+
+
+def xlogx(x: float) -> float:
+    """x*ln(x) extended continuously by 0 at x = 0."""
+    return 0.0 if x == 0 else x * math.log(x)
+
+
+def display_exponent(a: float, c: float, d: float) -> float:
+    """The paper's nine-term regular-model exponent f(a, c, d), in binary64."""
+    g = xlogx
+    return (
+        g(c) + g(d) + g((c - 2) * d) + g((c - 1 - a) * d) / 2
+        - g(c - 2) - g(a * d) - g((c - 2 - a) * d) - g((1 - a) * d) / 2 - g(c * d) / 2
+    )
+
+
+def ln_fraction(x: Fraction) -> float:
+    """ln of a positive rational whose parts may lie beyond the binary64 range."""
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")

@@ -35,6 +35,8 @@ from ramsey_lab.constructions import (
 )
 from ramsey_lab.random_models import estimate_hole_probability, sample_pairing
 
+from conftest import display_exponent, ln_fraction, xlogx
+
 
 def test_criterion_01_level_two_form_exact():
     """Level-2 linear form is (38033, 57379, -1617); diagonal = 95412*m - 1617."""
@@ -116,15 +118,15 @@ def test_criterion_05_regular_certificates():
 
 
 def test_criterion_06_exponent_affine_in_density():
-    """regular_exponent(a, c, d) equals k0(c) + k1(a, c) * d to 1e-8 relative."""
+    """The nine-term f(a, c, d) equals the solver's k0(c) + k1(a, c) * d to 1e-8 relative."""
     t0 = time.perf_counter()
     rng = random.Random(271828)
     for _ in range(1000):
         a = rng.random()
         c = 3.0 + rng.random() * 97.0
         d = rng.random() * 100.0
-        f = ts.regular_exponent(a, c, d)
-        k0, k1 = ts.regular_exponent_decompose(a, c)
+        f = display_exponent(a, c, d)
+        k0, k1 = ts._coefficients(a, c, xlogx)
         assert abs(f - (k0 + k1 * d)) <= 1e-8 * max(1.0, abs(f))
     assert time.perf_counter() - t0 < 5.0
 
@@ -132,11 +134,11 @@ def test_criterion_06_exponent_affine_in_density():
 def test_criterion_07_first_moment_convergence():
     """Normalized log of the exact count approaches the exponent, 15% by m=80."""
     t0 = time.perf_counter()
-    f_lim = ts.regular_exponent(0.5, 6, 4)
+    f_lim = display_exponent(0.5, 6, 4)
     errs = []
     for m in (10, 20, 40, 80):
         x = ts.exact_first_moment(m, 6, 4, Fraction(1, 2))
-        errs.append(abs(ts.ln_fraction(x) / m - f_lim) / abs(f_lim))
+        errs.append(abs(ln_fraction(x) / m - f_lim) / abs(f_lim))
     assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] <= 0.15
     assert time.perf_counter() - t0 < 10.0

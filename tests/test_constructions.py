@@ -8,7 +8,6 @@ the embedder are test-local helpers.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from collections import deque

@@ -1,7 +1,9 @@
-"""The public surface: exports match definitions, and the traced benchmark resolves."""
+"""The public surface: exports match definitions, the traced benchmark resolves, and
+no module imports a name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -70,3 +72,28 @@ def test_readme_names_every_cap():
     }
     assert defined
     assert set(CAP_NAME.findall(section)) == defined
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports and neither references nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
+
+
+def test_no_module_imports_an_unused_name():
+    library = sorted((ROOT / "src" / "ramsey_lab").glob("*.py"))
+    paths = library + sorted((ROOT / "tests").glob("*.py"))
+    assert len(paths) > 10
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

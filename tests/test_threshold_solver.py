@@ -1,4 +1,4 @@
-"""Density-threshold solver checks: closed forms, the affine decomposition,
+"""Density-threshold solver checks: closed forms, the affine coefficients,
 certified minima, and the exact first-moment formula."""
 
 import math
@@ -14,29 +14,7 @@ from mpmath import iv
 from ramsey_lab.errors import InfeasibleDensityError
 from ramsey_lab import threshold_solver as ts
 
-
-# ── scalar helpers ───────────────────────────────────────────────────────────
-
-
-def test_g_basics():
-    assert ts.g(0.0) == 0.0
-    assert ts.g(1.0) == 0.0
-    assert ts.g(math.e) == pytest.approx(math.e)
-    with pytest.raises(ValueError):
-        ts.g(-0.1)
-
-
-def test_ln_fraction_handles_huge_rationals():
-    x = Fraction(10**400, 3**200)
-    assert ts.ln_fraction(x) == pytest.approx(400 * math.log(10) - 200 * math.log(3))
-
-
-def test_matching_count():
-    assert [ts.matching_count(i) for i in (0, 2, 4, 6, 8)] == [1, 1, 3, 15, 105]
-    with pytest.raises(ValueError):
-        ts.matching_count(3)
-    with pytest.raises(ValueError):
-        ts.matching_count(-2)
+from conftest import display_exponent, xlogx
 
 
 # ── closed-form thresholds ───────────────────────────────────────────────────
@@ -80,29 +58,9 @@ def test_bipartite_min_density_monotone_decreasing_in_rho():
 
 
 def test_regular_exponent_frozen_value():
-    assert ts.regular_exponent(0.5, 6, 4) == pytest.approx(3.9624320718015085, rel=1e-14)
-
-
-def test_regular_exponent_validation():
-    with pytest.raises(ValueError):
-        ts.regular_exponent(-0.1, 6, 4)
-    with pytest.raises(ValueError):
-        ts.regular_exponent(1.1, 6, 4)
-    with pytest.raises(ValueError):
-        ts.regular_exponent(0.5, 3, 4)
-    with pytest.raises(ValueError):
-        ts.regular_exponent(0.5, 6, -1)
-
-
-def test_exponent_is_affine_in_density():
-    rng = random.Random(23)
-    for _ in range(1000):
-        a = rng.random()
-        c = 3.0 + rng.random() * 97.0
-        d = rng.random() * 100.0
-        k0, k1 = ts.regular_exponent_decompose(a, c)
-        direct = ts.regular_exponent(a, c, d)
-        assert abs(direct - (k0 + k1 * d)) <= 1e-8 * max(1.0, abs(direct))
+    k0, k1 = ts._coefficients(0.5, 6, xlogx)
+    assert k0 + 4 * k1 == pytest.approx(3.9624320718015085, rel=1e-14)
+    assert display_exponent(0.5, 6, 4) == pytest.approx(3.9624320718015085, rel=1e-14)
 
 
 def test_exponent_slope_negative_on_domain():
@@ -110,7 +68,7 @@ def test_exponent_slope_negative_on_domain():
     for _ in range(300):
         a = rng.random()
         c = 3.0 + rng.random() * 10**5
-        _, k1 = ts.regular_exponent_decompose(a, c)
+        _, k1 = ts._coefficients(a, c, xlogx)
         assert k1 < 0
 
 
@@ -118,16 +76,17 @@ def test_exponent_slope_negative_on_domain():
 
 
 def _bisect_min_density_oracle(c: float, grid: int = 20001) -> float:
-    """Independent threshold: bisection on d with a dense brute-force a-grid."""
+    """Independent threshold: bisection on d over a dense a-grid of the display form.
+
+    The display form is affine in d, so k0 = f(a, c, 0) and k1 = f(a, c, 1) - k0.
+    """
     a = np.linspace(0.0, 1.0, grid)
 
     def worst_exponent(d: float) -> float:
-        return max(ts.regular_exponent(float(x), c, d) for x in a[:: max(1, grid // 801)])
+        return max(display_exponent(float(x), c, d) for x in a[:: max(1, grid // 801)])
 
-    # refine: full grid evaluation via the decomposition for speed
-    k = [ts.regular_exponent_decompose(float(x), c) for x in a]
-    k0 = np.array([p[0] for p in k])
-    k1 = np.array([p[1] for p in k])
+    k0 = np.array([display_exponent(float(x), c, 0.0) for x in a])
+    k1 = np.array([display_exponent(float(x), c, 1.0) for x in a]) - k0
 
     def feasible(d: float) -> bool:
         return float(np.max(k0 + k1 * d)) <= 0.0
@@ -258,6 +217,14 @@ def test_regular_solver_domain():
 # ── exact first moment ───────────────────────────────────────────────────────
 
 
+def test_matching_count():
+    assert [ts.matching_count(i) for i in (0, 2, 4, 6, 8)] == [1, 1, 3, 15, 105]
+    with pytest.raises(ValueError):
+        ts.matching_count(3)
+    with pytest.raises(ValueError):
+        ts.matching_count(-2)
+
+
 def test_first_moment_hand_values():
     assert ts.exact_first_moment(2, 4, 2, Fraction(1, 2)) == Fraction(9408, 143)
     assert ts.exact_first_moment(2, 4, 2, 1) == Fraction(15680, 429)
@@ -324,45 +291,3 @@ def test_first_moment_input_validation():
         ts.exact_first_moment(2, 1, 2, Fraction(1, 2))
     with pytest.raises(ValueError):
         ts.exact_first_moment(2, 4, 2, Fraction(3, 2))
-
-
-def test_first_moment_normalized_log_converges_to_exponent():
-    f_lim = ts.regular_exponent(0.5, 6, 4)
-    errs = []
-    for m in (10, 20, 40, 80):
-        x = ts.exact_first_moment(m, 6, 4, Fraction(1, 2))
-        errs.append(abs(ts.ln_fraction(x) / m - f_lim) / abs(f_lim))
-    assert all(a > b for a, b in zip(errs, errs[1:]))
-    assert errs[-1] <= 0.15
-
-
-# ── display form vs proof form ───────────────────────────────────────────────
-
-
-def test_display_form_matches_regrouped_spelling():
-    """Two algebraic spellings of the exponent agree in float arithmetic."""
-
-    def regrouped(a, c, d):
-        gg = ts.g
-        return (
-            gg(c)
-            - gg(c - 2)
-            + d
-            * (
-                gg(c - 2)
-                + gg(c - 1 - a) / 2
-                - gg(a)
-                - gg(c - 2 - a)
-                - gg(1 - a) / 2
-                - gg(c) / 2
-            )
-        )
-
-    rng = random.Random(41)
-    for _ in range(100):
-        a = rng.random()
-        c = 4.0 + rng.random() * 96.0
-        d = 1.0 + rng.random() * 99.0
-        lhs = ts.regular_exponent(a, c, d)
-        rhs = regrouped(a, c, d)
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
