@@ -123,9 +123,9 @@ class BoundReport:
 # ── the linear-form recursion ────────────────────────────────────────────────
 
 
-def _check_level(t: int, minimum: int = 1) -> None:
-    if not isinstance(t, int) or t < minimum:
-        raise ValueError(f"level t must be an integer >= {minimum}, got {t!r}")
+def _check_level(t: int) -> None:
+    if not isinstance(t, int) or t < 1:
+        raise ValueError(f"level t must be an integer >= 1, got {t!r}")
     if t > DEFAULT_T_CAP:
         raise ValueError(
             f"level t={t} exceeds the cap {DEFAULT_T_CAP}; coefficients grow like 35**(2**t)"
@@ -172,17 +172,6 @@ def eval_ramsey_form(t: int, m1: int, m2: int) -> int:
     outer = 32 * m1 + 49 * m2
     inner = eval_ramsey_form(t - 1, outer, m1 + m2 - 1)
     return eval_ramsey_form(t - 1, inner, outer)
-
-
-def closed_form_envelope(t: int, m1: int, m2: int) -> int:
-    """Closed-form dominating value ``35**(2**t - 2) * (32*m1 + 49*m2)``.
-
-    Defined for t >= 2; it upper-bounds :func:`eval_ramsey_form` there.
-    """
-    _check_level(t, minimum=2)
-    if m1 < 0 or m2 < 0:
-        raise ValueError("arguments m1, m2 must be nonnegative")
-    return 35 ** (2**t - 2) * (32 * m1 + 49 * m2)
 
 
 # ── closed-form host sizes ───────────────────────────────────────────────────
@@ -331,7 +320,6 @@ __all__ = [
     "BoundReport",
     "ramsey_linear_form",
     "eval_ramsey_form",
-    "closed_form_envelope",
     "multicycle_host_size",
     "validate_length_constraints",
     "host_constant",

@@ -19,8 +19,9 @@ becomes nonpositive:
   ``_coefficients`` is the one library spelling of k0 and k1.
 
 The threshold is k0 / -k1(a*) at the maximiser a* of the strictly concave
-slope k1, the root of a cubic that exact bisection brackets.  k0 and k1 are
-evaluated once over the bracket in ``mpmath.iv``, at a precision that grows
+slope k1, a quadratic's root that an integer square root brackets exactly.
+k0 and k1 are evaluated once over the bracket with ``mpmath.libmp``'s
+outward-rounded ``mpi_*`` interval calls, at an explicit precision that grows
 with log2(c) because the terms of k1 (~c*ln(c)) cancel down to ~ln(c)/c.
 The solved density and the certificate read off that one rigorous enclosure.
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb, factorial
 from typing import Union
@@ -145,55 +146,100 @@ def bipartite_min_density(rho: Union[Rational, float]) -> float:
 
 def _coefficients(a, c, g):
     """(k0, k1) at (a, c) for any number type that g, x*ln(x), accepts."""
-    k0 = g(c) - g(c - 2)
-    k1 = g(c - 2) + g(c - 1 - a) / 2 - g(a) - g(c - 2 - a) - g(1 - a) / 2 - g(c) / 2
-    return k0, k1
+    gc, gc2 = g(c), g(c - 2)
+    return gc - gc2, gc2 + g(c - 1 - a) / 2 - g(a) - g(c - 2 - a) - g(1 - a) / 2 - gc / 2
 
 
 def _bracket(c: Fraction, bits: int) -> int:
-    """m with the maximiser a* of k1 in [m, m + 1] / 2**bits.
+    """m with m / 2**bits < a* <= (m + 1) / 2**bits, for the maximiser a* of k1.
 
     k1 is strictly concave on (0, 1) with
     k1'(a) = ln((c-2-a) * sqrt(1-a) / (a * sqrt(c-1-a))), so a* is the one
-    root in (0, 1) of (c-2-a)**2 * (1-a) - a**2 * (c-1-a), which is positive
-    left of it.  Exact bisection on that sign, with a = x / 2**k and
-    c = p / q cleared of denominators.
+    root in (0, 1) of (c-2-a)**2 * (1-a) - a**2 * (c-1-a) = (c-2) * (a**2 - c*a + c-2),
+    a* = (c - sqrt(c**2 - 4*c + 8)) / 2, and the quadratic is positive left of it.
+    An integer square root, with a = x / 2**bits and c = p / q cleared of
+    denominators, gives m or up to 2 more; the exact sign test steps it down.
     """
     p, q = c.numerator, c.denominator
-    m = 0
-    for k in range(1, bits + 1):
-        one, x = 1 << k, 2 * m + 1
-        left = ((p - 2 * q) * one - q * x) ** 2 * (one - x) > q * x * x * ((p - q) * one - q * x)
-        m = 2 * m + left
+    one = 1 << bits
+    m = (p * one - math.isqrt((p * p - 4 * p * q + 8 * q * q) << 2 * bits)) // (2 * q)
+    while q * m * m - p * m * one + (p - 2 * q) * one * one <= 0:
+        m -= 1
     return m
 
 
-@contextmanager
-def _enclosure(c: Fraction):
-    """Yield (a*, k0, k1): the midpoint of a bracket of a* and interval enclosures.
+@cache
+def _interval_type():
+    """The enclosure's interval type, binding ``mpmath.libmp`` on first use.
 
-    k1 is evaluated with ``mpmath.iv`` over the whole bracket, so it encloses
-    k1(a*) = max over a of k1(a); both intervals stay at the working precision
-    inside the block.  The bracket is 2**-(64 + 2*log2 c) wide and the
-    precision 64 + 3*log2 c bits: the terms of k1 are ~c*ln(c) and cancel to
+    Interval(lo, hi, prec) is [lo, hi] for ints, which convert as in mpmath.iv:
+    rounded outward to prec bits, so exactly when they fit.  +, -, * and / by
+    an Interval or an int, int - Interval, unary minus and .log() round
+    outward at prec bits.  .b is the upper end, an mpmath.mpf, and float() is
+    that end rounded toward 0, as iv's float() of a point interval.
+    """
+    from mpmath import mp
+    from mpmath.libmp import from_int, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_sub
+    from mpmath.libmp import round_ceiling, round_floor, to_float
+
+    def point(n, prec):
+        return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+    def new(ends, prec):
+        x = object.__new__(Interval)
+        x.ends, x.prec = ends, prec
+        return x
+
+    def binary(f):
+        def op(s, t):
+            t = t.ends if type(t) is Interval else point(t, s.prec)
+            return new(f(s.ends, t, s.prec), s.prec)
+        return op
+
+    def unary(f):
+        return lambda s: new(f(s.ends, s.prec), s.prec)
+
+    class Interval:
+        __slots__ = ("ends", "prec")
+        __add__, __sub__, __mul__, __truediv__ = map(binary, (mpi_add, mpi_sub, mpi_mul, mpi_div))
+        __rsub__ = binary(lambda s, t, prec: mpi_sub(t, s, prec))
+        __neg__, log = unary(mpi_neg), unary(mpi_log)
+        b = property(lambda s: mp.make_mpf(s.ends[1]))
+
+        def __init__(self, lo: int, hi: int, prec: int):
+            self.ends, self.prec = (point(lo, prec)[0], point(hi, prec)[1]), prec
+
+        def __float__(self):
+            return to_float(self.ends[1])
+
+    return Interval
+
+
+def _enclosure(c: Fraction):
+    """(a*, k0, k1): the midpoint of a bracket of a*, and interval enclosures.
+
+    k1 is evaluated over the whole bracket, so it encloses k1(a*) = max over a
+    of k1(a), with libmp's mpi_add, mpi_sub, mpi_mul, mpi_div, mpi_neg and
+    mpi_log at the explicit precision 64 + 3*log2 c bits.  The bracket is
+    2**-(64 + 2*log2 c) wide: the terms of k1 are ~c*ln(c) and cancel to
     ~ln(c)/c, which these widths resolve to ~1e-18 relative for every binary64 c.
     """
-    from mpmath import iv  # lazily: most commands never solve, and loading mpmath costs ~25 ms
     log2c = max(1, c.numerator.bit_length() - c.denominator.bit_length() + 1)
-    bits = 64 + 2 * log2c
+    bits, prec = 64 + 2 * log2c, 64 + 3 * log2c
     m = _bracket(c, bits)
-    saved = iv.prec
-    iv.prec = 64 + 3 * log2c
-    try:
-        a = (m + iv.mpf([0, 1])) / 2**bits
-        cm = iv.mpf(c.numerator) / c.denominator
-        yield Fraction(2 * m + 1, 2 ** (bits + 1)), *_coefficients(a, cm, lambda x: x * iv.log(x))
-    finally:
-        iv.prec = saved
+    interval = _interval_type()
+    a = interval(m, m + 1, prec) / 2**bits
+    cm = interval(c.numerator, c.numerator, prec) / c.denominator
+    return Fraction(2 * m + 1, 2 ** (bits + 1)), *_coefficients(a, cm, lambda x: x * x.log())
+
+
+def _exponent(k0, k1, d: Fraction):
+    """The enclosure of k0 + k1*d, the exponent at the rational density d."""
+    return k0 + k1 * (type(k1)(d.numerator, d.numerator, k1.prec) / d.denominator)
 
 
 def _round_up(x) -> float:
-    """The least binary64 value >= the point interval x."""
+    """The least binary64 value >= x, an ``mpmath.mpf``."""
     f = float(x)
     return math.nextafter(f, math.inf) if f < x else f
 
@@ -211,22 +257,22 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
     if the enclosure of the exponent at d_min does not lie at or below 0.
     """
     c, cf = _regular_c(c)
-    with _enclosure(c) as (a, k0, k1):
-        if not k1.b < 0:
-            raise InfeasibleDensityError(
-                f"exponent slope k1 <= {float(k1.b):+.3e} is not certifiably negative "
-                f"at a={float(a)}: no finite density is certifiable for c={cf:.6g}",
-                a=float(a),
-            )
-        d_min = _round_up((k0 / -k1).b)
-        if math.isinf(d_min):
-            raise ValueError(f"regular density at c = {cf:.6g} is beyond the binary64 range")
-        top = (k0 + k1 * d_min).b
-        if not top <= 0:
-            raise ValueError(
-                f"d={d_min!r} is not certified for c={c}: exponent "
-                f"{float(top):+.6e} > 0 at a={float(a)!r}"
-            )
+    a, k0, k1 = _enclosure(c)
+    if not k1.b < 0:
+        raise InfeasibleDensityError(
+            f"exponent slope k1 <= {float(k1):+.3e} is not certifiably negative "
+            f"at a={float(a)}: no finite density is certifiable for c={cf:.6g}",
+            a=float(a),
+        )
+    d_min = _round_up((k0 / -k1).b)
+    if math.isinf(d_min):
+        raise ValueError(f"regular density at c = {cf:.6g} is beyond the binary64 range")
+    top = _exponent(k0, k1, Fraction(d_min))
+    if not top.b <= 0:
+        raise ValueError(
+            f"d={d_min!r} is not certified for c={c}: exponent "
+            f"{float(top):+.6e} > 0 at a={float(a)!r}"
+        )
     return DensitySolveResult(c=c, d_min=d_min, worst_a=float(a), max_exponent=float(top))
 
 
@@ -240,10 +286,9 @@ def check_density_certificate(c: Rational, d: Rational) -> CertificateCheck:
     d = Fraction(d)
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
-    from mpmath import iv
-    with _enclosure(c) as (a, k0, k1):
-        top = (k0 + k1 * (iv.mpf(d.numerator) / d.denominator)).b
-        return CertificateCheck(ok=bool(top <= 0), max_exponent=float(top), worst_a=float(a))
+    a, k0, k1 = _enclosure(c)
+    top = _exponent(k0, k1, d)
+    return CertificateCheck(ok=bool(top.b <= 0), max_exponent=float(top), worst_a=float(a))
 
 
 # ── exact first moment in the pairing model ──────────────────────────────────

@@ -59,9 +59,12 @@ def xlogx(x: float) -> float:
     return 0.0 if x == 0 else x * math.log(x)
 
 
-def display_exponent(a: float, c: float, d: float) -> float:
-    """The paper's nine-term regular-model exponent f(a, c, d), in binary64."""
-    g = xlogx
+def display_exponent(a, c, d, g=xlogx):
+    """The paper's nine-term regular-model exponent f(a, c, d), with g(x) = x*ln(x).
+
+    g defaults to the binary64 ``xlogx``; pass another x*ln(x) to evaluate the
+    display form in that number type.
+    """
     return (
         g(c) + g(d) + g((c - 2) * d) + g((c - 1 - a) * d) / 2
         - g(c - 2) - g(a * d) - g((c - 2 - a) * d) - g((1 - a) * d) / 2 - g(c * d) / 2
@@ -95,9 +98,11 @@ def _regular_density_oracle(c) -> mpmath.mpf:
     """d_min = k0 / -k1(a*) for the regular model, without ramsey_lab.
 
     a* is the root in (0, 1) of (c-2-a)**2 (1-a) = a**2 (c-1-a), found by
-    plain bisection.  The terms of k1 (~c ln c) cancel to ~ln(c)/c, so the
-    working precision grows with the digits of c: 60 digits plus three per
-    digit of c.
+    plain bisection.  k0 and k1 are read off the paper's nine-term display
+    form, which is affine in d: k1 = f(a*, c, 2) - f(a*, c, 1) and
+    k0 = 2 f(a*, c, 1) - f(a*, c, 2), so no regrouped spelling is shared with
+    the solver.  The terms of f (~c ln c) cancel to ~ln(c)/c, so the working
+    precision grows with the digits of c: 60 digits plus three per digit of c.
     """
     c = Fraction(c)
     digits = 60 + 3 * len(str(c.numerator // c.denominator))
@@ -111,12 +116,8 @@ def _regular_density_oracle(c) -> mpmath.mpf:
             else:
                 hi = mid
         a = (lo + hi) / 2
-
-        def g(x):
-            return x * mpmath.log(x)
-
-        k0 = g(cm) - g(cm - 2)
-        k1 = g(cm - 2) + g(cm - 1 - a) / 2 - g(a) - g(cm - 2 - a) - g(1 - a) / 2 - g(cm) / 2
+        f1, f2 = (display_exponent(a, cm, d, lambda x: x * mpmath.log(x)) for d in (1, 2))
+        k0, k1 = 2 * f1 - f2, f2 - f1
         return k0 / -k1
 
 

@@ -10,7 +10,6 @@ from ramsey_lab.bounds import (
     BoundReport,
     CycleSpec,
     LinearForm,
-    closed_form_envelope,
     eval_ramsey_form,
     host_constant,
     multicycle_host_size,
@@ -54,20 +53,6 @@ def test_literal_recursion_matches_coefficients():
 
 def test_single_evaluation_frozen():
     assert eval_ramsey_form(2, 1, 1) == 93795
-
-
-def test_envelope_bounds_evaluation():
-    rng = random.Random(11)
-    assert closed_form_envelope(2, 1, 1) == 99225
-    for _ in range(100):
-        t = rng.randint(2, 6)
-        m1, m2 = rng.randint(1, 40), rng.randint(1, 40)
-        assert eval_ramsey_form(t, m1, m2) <= closed_form_envelope(t, m1, m2)
-
-
-def test_envelope_rejects_t1():
-    with pytest.raises(ValueError):
-        closed_form_envelope(1, 1, 1)
 
 
 def test_depth_cap():

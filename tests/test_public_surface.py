@@ -1,5 +1,5 @@
-"""The public surface: exports match definitions, the traced benchmark resolves, and
-no module imports a name it never uses."""
+"""The public surface: exports match definitions, the traced benchmark resolves, no
+module imports a name it never uses, and no library module loads mpmath at import."""
 
 from __future__ import annotations
 
@@ -97,3 +97,29 @@ def test_no_module_imports_an_unused_name():
     paths = library + sorted((ROOT / "tests").glob("*.py"))
     assert len(paths) > 10
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def _mpmath_imports(tree: ast.Module) -> tuple[list[int], list[int]]:
+    """Lines of the mpmath imports that run at module load, and of those inside a def."""
+    at_load, deferred = [], []
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, in_def = stack.pop()
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(n == "mpmath" or n.startswith("mpmath.") for n in names):
+            (deferred if in_def else at_load).append(node.lineno)
+        in_def = in_def or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        stack.extend((child, in_def) for child in ast.iter_child_nodes(node))
+    return at_load, deferred
+
+
+def test_no_library_module_imports_mpmath_at_load():
+    """mpmath costs ~25 ms to load, so it is imported only inside the functions that use it."""
+    at_load, deferred = [], 0
+    for path in sorted((ROOT / "src" / "ramsey_lab").glob("*.py")):
+        lines, inner = _mpmath_imports(ast.parse(path.read_text(encoding="utf-8")))
+        at_load += [f"{path.name}:{line}" for line in lines]
+        deferred += len(inner)
+    assert at_load == []
+    assert deferred  # the scan sees the deferred imports, so it would see a module-level one

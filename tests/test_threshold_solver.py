@@ -3,7 +3,6 @@ certified minima, and the exact first-moment formula."""
 
 import math
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -145,15 +144,18 @@ def test_solver_result_serialization_roundtrip():
     assert doc["max_exponent"] <= 0.0
 
 
+def _quarters(lo: float, hi: float):
+    """[lo, hi] in the enclosure's interval type, for multiples lo <= hi of 1/4."""
+    return ts._interval_type()(int(4 * lo), int(4 * hi), 53) / 4
+
+
 def test_solver_infeasible_branch(monkeypatch):
     # a slope enclosure that does not lie below 0 (positive, or straddling
     # 0) certifies no density
-    for slope in ("0.5", ["-0.5", "0.5"]):
-        @contextmanager
-        def enclosure(c):
-            yield Fraction(1, 2), iv.mpf(1), iv.mpf(slope)
-
-        monkeypatch.setattr(ts, "_enclosure", enclosure)
+    for slope in ((0.5, 0.5), (-0.5, 0.5)):
+        monkeypatch.setattr(
+            ts, "_enclosure", lambda c, s=slope: (Fraction(1, 2), _quarters(1, 1), _quarters(*s))
+        )
         with pytest.raises(InfeasibleDensityError) as err:
             ts.regular_min_density(Fraction(10))
         assert err.value.a is not None
@@ -161,11 +163,9 @@ def test_solver_infeasible_branch(monkeypatch):
 
 def test_solver_and_certificate_take_the_safe_end_of_the_enclosure(monkeypatch):
     # k0 = 1 and k1 in [-0.75, -0.5]: only d >= 1 / 0.5 is certified
-    @contextmanager
-    def enclosure(c):
-        yield Fraction(1, 2), iv.mpf(1), iv.mpf([-0.75, -0.5])
-
-    monkeypatch.setattr(ts, "_enclosure", enclosure)
+    monkeypatch.setattr(
+        ts, "_enclosure", lambda c: (Fraction(1, 2), _quarters(1, 1), _quarters(-0.75, -0.5))
+    )
     assert ts.regular_min_density(Fraction(10)).d_min == 2.0
     assert ts.check_density_certificate(Fraction(10), 2).ok
     assert not ts.check_density_certificate(Fraction(10), Fraction(3, 2)).ok
@@ -291,3 +291,60 @@ def test_first_moment_input_validation():
         ts.exact_first_moment(2, 1, 2, Fraction(1, 2))
     with pytest.raises(ValueError):
         ts.exact_first_moment(2, 4, 2, Fraction(3, 2))
+
+
+def _iv_enclosure(c: Fraction):
+    """(a*, k0, k1 endpoints) as ``mpmath.iv`` evaluates ``_coefficients``.
+
+    The same bracket and precision as ``ts._enclosure``, with iv's own
+    conversions and its global precision, set and restored here.
+    """
+    log2c = max(1, c.numerator.bit_length() - c.denominator.bit_length() + 1)
+    bits = 64 + 2 * log2c
+    m = ts._bracket(c, bits)
+    saved = iv.prec
+    iv.prec = 64 + 3 * log2c
+    try:
+        a = (m + iv.mpf([0, 1])) / 2**bits
+        cm = iv.mpf(c.numerator) / c.denominator
+        k0, k1 = ts._coefficients(a, cm, lambda x: x * iv.log(x))
+        return Fraction(2 * m + 1, 2 ** (bits + 1)), k0._mpi_, k1._mpi_
+    finally:
+        iv.prec = saved
+
+
+def test_enclosure_endpoints_equal_mpmath_iv():
+    """The libmp interval type gives every endpoint mpmath.iv gives, bit for bit."""
+    rng = random.Random(2503)
+    cs = []
+    while len(cs) < 200:  # log-uniform in (3, 1e300]
+        c = Fraction(math.exp(rng.uniform(math.log(3), math.log(1e300))))
+        if c > 3:
+            cs.append(c)
+    for c in cs + REGRESSION_C:
+        a, k0, k1 = ts._enclosure(c)
+        assert (a, k0.ends, k1.ends) == _iv_enclosure(c), c
+
+
+def _bisect_bracket(c: Fraction, bits: int) -> int:
+    """The bracket by exact bisection on the sign of (c-2-a)**2 (1-a) - a**2 (c-1-a)."""
+    p, q = c.numerator, c.denominator
+    m = 0
+    for k in range(1, bits + 1):
+        one, x = 1 << k, 2 * m + 1
+        left = ((p - 2 * q) * one - q * x) ** 2 * (one - x) > q * x * x * ((p - q) * one - q * x)
+        m = 2 * m + left
+    return m
+
+
+def test_bracket_matches_exact_bisection():
+    # at c = 7/2 and 23/4 the root a* = 1/2, 3/4 is dyadic: it is the bracket's upper end
+    rng = random.Random(2504)
+    cs = [Fraction(3 + 10 ** rng.uniform(-12, 300)) for _ in range(100)]
+    cs += [Fraction(rng.randint(3 * 10**6 + 1, 10**9), 10**6) for _ in range(100)]
+    for c in cs + REGRESSION_C + [Fraction(7, 2), Fraction(23, 4), Fraction(10**30 + 7, 10**29)]:
+        widest = 64 + 2 * max(1, c.numerator.bit_length() - c.denominator.bit_length() + 1)
+        for bits in (3, 66, widest):
+            assert ts._bracket(c, bits) == _bisect_bracket(c, bits), (c, bits)
+    assert ts._bracket(Fraction(7, 2), 70) == 2**69 - 1
+    assert ts._bracket(Fraction(23, 4), 70) == 3 * 2**68 - 1
