@@ -5,7 +5,9 @@ for some i, a copy of target T_i whose edges all carry color i.  At desk
 scale this is decidable by depth-first search over edge colorings: a
 branch dies as soon as some color class already contains its target
 (recoloring other edges cannot remove it), and a coloring that survives
-to the end is a counterexample — a *good coloring*.
+to the end is a counterexample — a *good coloring*.  The colouring search is
+one backtracking loop over the edge positions; only the path test of a
+cycle on six or more vertices recurses.
 
 Targets are exact-length cycles and bicliques.  The search keeps one
 adjacency bitset list per color and tests only the newly colored edge:
@@ -29,8 +31,8 @@ from .errors import CapExceededError
 
 #: most steps of work an arrow search takes before it gives up (see _search).
 #: K9 -> (C5, C5) takes 3.18e6 steps and K8 -> (C6, C6) 5.84e6, the largest
-#: decision kept in reach.  A step costs 0.4-1 us on a 2-vCPU machine, so a
-#: search stopped by the cap (K1x19 -> 18 x K1x2, K14 -> (C14, C14)) ends in 3-6 s.
+#: decision kept in reach.  A step costs 0.3-0.45 us on a 2-vCPU machine, so a
+#: search stopped by the cap (K1x19 -> 18 x K1x2, K14 -> (C14, C14)) ends in 2-4 s.
 ARROW_WORK_CAP = 8 * 10**6
 TARGET_VERTEX_CAP = 20
 
@@ -240,12 +242,18 @@ def _search(
 ) -> ArrowResult:
     """Decide the arrow relation, or raise CapExceededError past ARROW_WORK_CAP steps.
 
+    One loop walks the edge positions; ``colors[i]`` is the colour edge i
+    holds, 0 while it holds none.  A visit takes edge i out of its class and
+    tries the next colours: the first whose class stays target-free sends
+    the loop on to i + 1, and a position out of colours is cleared and sends
+    it back to i - 1.
+
     A step is a colouring examined, a path-search node with two or more
     inner vertices left to place, or an orientation or candidate set tried
     by the biclique test.  The count is checked at every path-search node,
-    when a node of the colouring search has tried all its colours, and when
-    the search ends, so the search raises exactly when its count would pass
-    the cap.  A biclique test runs to its end: at most C(18, 9) candidate
+    when a position of the colouring loop has tried all its colours, and
+    when the search ends, so the search raises exactly when its count would
+    pass the cap.  A biclique test runs to its end: at most C(18, 9) candidate
     sets per orientation within the vertex cap.
     """
     if not targets:
@@ -273,100 +281,112 @@ def _search(
             low = options & -options
             options ^= low
             y = low.bit_length() - 1
-            if adj[y] & ends if edges == 3 else path(adj, y, v, avoid | low, edges - 1):
-                return True
+            if edges == 3:
+                if adj[y] & ends:
+                    return True
+            elif edges > 4:
+                if path(adj, y, v, avoid | low, edges - 1):
+                    return True
+            else:  # x-y-w-z-v, one step per y as a 3-edge level from y would count
+                work += 1
+                if work > cap:
+                    raise CapExceededError(capped)
+                middles = adj[y] & ~avoid & ~low
+                near = ends & ~low  # z is not y
+                while middles:
+                    w = middles & -middles
+                    middles ^= w
+                    if adj[w.bit_length() - 1] & near:
+                        return True
         return False
 
-    def through_edge_test(target: Target):
-        """test(adj, u, v): does the class `adj`, holding edge uv, contain `target` through uv?"""
-        if isinstance(target, CycleTarget):
-            edges = target.length - 1
-            return lambda adj, u, v: path(adj, u, v, 1 << u | 1 << v, edges)
-        m1, m2 = target.m1, target.m2
-        # the class-0 endpoint (any endpoint without classes) on the m1 side or the m2 side
-        sizes = [(m1, m2)] if m1 == m2 else [(m1, m2), (m2, m1)]
-        side = host.side if respect_bipartition else None
-        pool_a = pool_b = (1 << host.n) - 1
+    # with classes, A lies in class 0 and B in class 1
+    side = host.side if respect_bipartition else None
+    pool_a = pool_b = (1 << host.n) - 1
+    if side is not None:
+        pool_b = sum(1 << v for v, c in enumerate(side) if c)
+        pool_a ^= pool_b
+
+    def cross(adj: list[int], a: int, b: int, sizes: list[tuple[int, int]]) -> bool:
+        """A biclique A (|A|=s1) within pool_a, B (|B|=s2) within pool_b, a in A, b in B.
+
+        The rest of A lies in N(b); B is then any s2 vertices of the common
+        neighbourhood of A, which holds b and, without loops, misses A.
+        """
+        nonlocal work
         if side is not None:
-            pool_b = sum(1 << v for v, c in enumerate(side) if c)
-            pool_a ^= pool_b
-
-        def cross(adj: list[int], a: int, b: int) -> bool:
-            """A biclique A (|A|=s1) within pool_a, B (|B|=s2) within pool_b, a in A, b in B.
-
-            The rest of A lies in N(b); B is then any s2 vertices of the common
-            neighbourhood of A, which holds b and, without loops, misses A.
-            """
-            nonlocal work
-            if side is not None:
-                if side[a] == side[b]:
-                    return False  # never a cross edge of a biclique across the classes
-                if side[a]:
-                    a, b = b, a
-            for s1, s2 in sizes:
+            if side[a] == side[b]:
+                return False  # never a cross edge of a biclique across the classes
+            if side[a]:
+                a, b = b, a
+        for s1, s2 in sizes:
+            work += 1
+            around_a = adj[a] & pool_b
+            if around_a.bit_count() < s2:
+                continue
+            for rest in combinations(_bits(adj[b] & pool_a & ~(1 << a)), s1 - 1):
                 work += 1
-                around_a = adj[a] & pool_b
-                if around_a.bit_count() < s2:
-                    continue
-                for rest in combinations(_bits(adj[b] & pool_a & ~(1 << a)), s1 - 1):
-                    work += 1
-                    common = around_a
-                    for x in rest:
-                        common &= adj[x]
-                        if common.bit_count() < s2:
-                            break
-                    else:
-                        return True
-            return False
+                common = around_a
+                for x in rest:
+                    common &= adj[x]
+                    if common.bit_count() < s2:
+                        break
+                else:
+                    return True
+        return False
 
-        return cross
+    # per colour: a cycle's path length in edges, or 0 and a biclique's (|A|, |B|) with
+    # the class-0 endpoint (any endpoint without classes) on the m1 side or the m2 side
+    lengths = [0] + [t.length - 1 if isinstance(t, CycleTarget) else 0 for t in targets]
+    sizes = [None] + [None if isinstance(t, CycleTarget) else [(t.m1, t.m2)] if t.m1 == t.m2
+                      else [(t.m1, t.m2), (t.m2, t.m1)] for t in targets]
 
     # color edges in descending endpoint-degree order: dense corners first
     deg = host.degrees()
     order = sorted(range(m), key=lambda i: (-(deg[host.edges[i][0]] + deg[host.edges[i][1]]), i))
     edges = [host.edges[i] for i in order]
+    slots = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    # when all targets coincide, color permutations act trivially: fix edge 0
+    tops = [k if i or len(set(targets)) > 1 else 1 for i in range(m)]
 
     # cadj[c][x]: neighbours of x in color class c; entry 0 is unused
     cadj = [[0] * host.n for _ in range(k + 1)]
-    contains = [None] + [through_edge_test(t) for t in targets]
     assignments = 0
     colors = [0] * m
-    # when all targets coincide, color permutations act trivially: fix edge 0
-    first_edge_choices = 1 if (m and len(set(targets)) == 1) else k
-
-    def dfs(i: int) -> Optional[list[int]]:
-        nonlocal assignments, work
-        if i == m:
-            return list(colors)
-        u, v = edges[i]
-        bu, bv = 1 << u, 1 << v
-        allowed = range(1, first_edge_choices + 1) if i == 0 else range(1, k + 1)
-        for c in allowed:
+    i = 0
+    while 0 <= i < m:
+        u, v, bu, bv = slots[i]
+        c, top = colors[i], tops[i]
+        if c:
+            adj = cadj[c]
+            adj[u] ^= bv
+            adj[v] ^= bu
+        while c < top:
+            c += 1
             assignments += 1
             work += 1
             adj = cadj[c]
             adj[u] |= bv
             adj[v] |= bu
-            colors[i] = c
             # class c was target-free without uv, so a new target uses uv
-            if not contains[c](adj, u, v):
-                good = dfs(i + 1)
-                if good is not None:
-                    return good
+            e = lengths[c]
+            if not (path(adj, u, v, bu | bv, e) if e else cross(adj, u, v, sizes[c])):
+                colors[i] = c
+                i += 1
+                break
             adj[u] ^= bv
             adj[v] ^= bu
+        else:
             colors[i] = 0
-        if work > cap:
-            raise CapExceededError(capped)
-        return None
-
-    good = dfs(0)
+            if work > cap:
+                raise CapExceededError(capped)
+            i -= 1
     if work > cap:
         raise CapExceededError(capped)
-    if good is None:
+    if i < 0:
         return ArrowResult(True, None, assignments)
     # map colors back to the host's canonical edge order
-    by_edge = {edges[i]: good[i] for i in range(m)}
+    by_edge = dict(zip(edges, colors))
     witness = EdgeColoring(host, tuple(by_edge[e] for e in host.edges))
     if not verify_coloring_avoids_targets(
         witness, targets, respect_bipartition=respect_bipartition

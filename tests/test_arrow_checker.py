@@ -289,6 +289,10 @@ def test_arrows_caps_and_validation(monkeypatch):
         (ac.arrows, Graph.complete(8), (CycleTarget(3),) * 2, 12015),
         (ac.arrows, Graph.complete(5), (CycleTarget(3),) * 2, 71),  # witness
         (ac.arrows, Graph.complete(7), (CycleTarget(5),) * 2, 481),  # witness after 134 colourings
+        # 30836 colourings, every branch closed, through the 3-edge and 4-edge path levels
+        (ac.arrows, Graph.complete(7), (CycleTarget(4), CycleTarget(5)), 86749),
+        # witness after 30 colourings; each C6 test recurses once above the 4-edge level
+        (ac.arrows, Graph.complete(7), (CycleTarget(6),) * 2, 238),
         (ac.bipartite_arrows, Graph.complete_bipartite(4, 4), (BicliqueTarget(2, 2),) * 2,
          302),  # witness after 119 colourings
         (ac.bipartite_arrows, Graph.complete_bipartite(1, 5), (BicliqueTarget(1, 3),) * 2,
@@ -442,6 +446,7 @@ def test_arrows_frozen_counts():
     cases = [
         (ac.arrows, Graph.complete(7), (CycleTarget(3), CycleTarget(4)), True, 14156),
         (ac.arrows, Graph.complete(6), (CycleTarget(4), CycleTarget(4)), True, 2083),
+        (ac.arrows, Graph.complete(7), (CycleTarget(4), CycleTarget(5)), True, 30836),
         (ac.arrows, Graph.complete(7), (CycleTarget(5), CycleTarget(5)), False, 134),
         (ac.bipartite_arrows, Graph.complete_bipartite(4, 4),
          (BicliqueTarget(2, 2), BicliqueTarget(2, 2)), False, 119),

@@ -123,3 +123,34 @@ def test_no_library_module_imports_mpmath_at_load():
         deferred += len(inner)
     assert at_load == []
     assert deferred  # the scan sees the deferred imports, so it would see a module-level one
+
+
+def _mpmath_iv_imports(tree: ast.Module) -> list[int]:
+    """Lines that import ``mpmath.iv``, in any of its three spellings, anywhere in the module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "mpmath.iv" or a.name.startswith("mpmath.iv.") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = (module == "mpmath.iv" or module.startswith("mpmath.iv.")
+                   or module == "mpmath" and any(a.name == "iv" for a in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_library_module_imports_mpmath_iv():
+    """src/ has one interval implementation, on mpmath.libmp; mpmath.iv stays a test oracle."""
+    spellings = ["import mpmath.iv", "import mpmath.iv as i", "from mpmath import mp, iv",
+                 "from mpmath import iv as i", "from mpmath.iv import mpf",
+                 "def f():\n    from mpmath import iv"]
+    assert all(_mpmath_iv_imports(ast.parse(s)) for s in spellings)
+    clean = ["import mpmath", "from mpmath import mp", "from mpmath.libmp import mpi_add"]
+    assert not any(_mpmath_iv_imports(ast.parse(s)) for s in clean)
+    hits = [f"{path.name}:{line}"
+            for path in sorted((ROOT / "src" / "ramsey_lab").glob("*.py"))
+            for line in _mpmath_iv_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert hits == []
