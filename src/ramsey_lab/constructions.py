@@ -157,6 +157,7 @@ class Graph(Multigraph):
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_size("complete graph vertices plus edges", n + n * (n - 1) // 2)
         return cls(n, combinations(range(n), 2))
 
     @classmethod
@@ -167,6 +168,7 @@ class Graph(Multigraph):
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("a cycle needs at least 3 vertices")
+        _check_size("cycle vertices plus edges", 2 * n)
         edges = [(i, (i + 1) % n) for i in range(n)]
         side = [i % 2 for i in range(n)] if n % 2 == 0 else None
         return cls(n, edges, side=side)

@@ -172,18 +172,20 @@ def _bracket(c: Fraction, bits: int) -> int:
 def _interval_type():
     """The enclosure's interval type, binding ``mpmath.libmp`` on first use.
 
-    Interval(lo, hi, prec) is [lo, hi] for ints, which convert as in mpmath.iv:
-    rounded outward to prec bits, so exactly when they fit.  +, -, * and / by
-    an Interval or an int, int - Interval, unary minus and .log() round
-    outward at prec bits.  .b is the upper end, an mpmath.mpf, and float() is
-    that end rounded toward 0, as iv's float() of a point interval.
+    Interval(lo, hi, prec) is [lo, hi] for ints and Fractions p/q, which convert
+    as iv.mpf(p) / q in mpmath.iv: p rounded outward to prec bits, then / q.
+    +, -, * and / by an Interval, int or Fraction, int - Interval, unary minus
+    and .log() round outward at prec bits.  .b is the upper end, an mpmath.mpf,
+    and float() is that end rounded toward 0, as iv's float() of a point interval.
     """
     from mpmath import mp
     from mpmath.libmp import from_int, mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_sub
     from mpmath.libmp import round_ceiling, round_floor, to_float
 
-    def point(n, prec):
-        return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+    def point(x, prec):
+        p, q = x.numerator, x.denominator
+        ends = from_int(p, prec, round_floor), from_int(p, prec, round_ceiling)
+        return ends if q == 1 else mpi_div(ends, point(q, prec), prec)
 
     def new(ends, prec):
         x = object.__new__(Interval)
@@ -229,13 +231,8 @@ def _enclosure(c: Fraction):
     m = _bracket(c, bits)
     interval = _interval_type()
     a = interval(m, m + 1, prec) / 2**bits
-    cm = interval(c.numerator, c.numerator, prec) / c.denominator
+    cm = interval(c, c, prec)
     return Fraction(2 * m + 1, 2 ** (bits + 1)), *_coefficients(a, cm, lambda x: x * x.log())
-
-
-def _exponent(k0, k1, d: Fraction):
-    """The enclosure of k0 + k1*d, the exponent at the rational density d."""
-    return k0 + k1 * (type(k1)(d.numerator, d.numerator, k1.prec) / d.denominator)
 
 
 def _round_up(x) -> float:
@@ -267,7 +264,7 @@ def regular_min_density(c: Rational) -> DensitySolveResult:
     d_min = _round_up((k0 / -k1).b)
     if math.isinf(d_min):
         raise ValueError(f"regular density at c = {cf:.6g} is beyond the binary64 range")
-    top = _exponent(k0, k1, Fraction(d_min))
+    top = k0 + k1 * Fraction(d_min)
     if not top.b <= 0:
         raise ValueError(
             f"d={d_min!r} is not certified for c={c}: exponent "
@@ -287,7 +284,7 @@ def check_density_certificate(c: Rational, d: Rational) -> CertificateCheck:
     if d <= 0:
         raise ValueError("density certificate needs d > 0")
     a, k0, k1 = _enclosure(c)
-    top = _exponent(k0, k1, d)
+    top = k0 + k1 * d
     return CertificateCheck(ok=bool(top.b <= 0), max_exponent=float(top), worst_a=float(a))
 
 

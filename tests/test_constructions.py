@@ -414,8 +414,20 @@ def test_branch_below_root_matches_parent_walk():
         assert got.tolist() == branch_by_walk(tree.parent), (tree.n, int(tree.depth.max()))
 
 
-def test_builders_check_the_size_cap_before_allocating():
+def test_builders_check_the_size_cap_before_allocating(monkeypatch):
     cap = cons.BUILD_SIZE_CAP
+    # K_n has n + n(n-1)/2 vertices plus edges: 998991 at n = 1413, 1000405 at 1414;
+    # C_n has 2n.  A huge n must raise before anything is allocated.
+    for build, n in ((Graph.complete, 1414), (Graph.complete, 10**12),
+                     (Graph.cycle, cap // 2 + 1), (Graph.cycle, 10**15)):
+        with pytest.raises(CapExceededError):
+            build(n)
+    monkeypatch.setattr(cons, "BUILD_SIZE_CAP", 10)
+    assert (Graph.complete(4).n, Graph.cycle(5).n) == (4, 5)  # 4 + 6 and 5 + 5: at the cap
+    for build, n in ((Graph.complete, 5), (Graph.cycle, 6)):
+        with pytest.raises(CapExceededError):
+            build(n)
+    monkeypatch.undo()
     # 2n + ceil(log2 n) - 2 vertices: 999997 at n = 499990, 1000017 at n = 500000
     assert cons.build_leaf_tree(499_990).n <= cap
     with pytest.raises(CapExceededError):

@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import iv
 
 from ramsey_lab.errors import InfeasibleDensityError
@@ -146,7 +148,7 @@ def test_solver_result_serialization_roundtrip():
 
 def _quarters(lo: float, hi: float):
     """[lo, hi] in the enclosure's interval type, for multiples lo <= hi of 1/4."""
-    return ts._interval_type()(int(4 * lo), int(4 * hi), 53) / 4
+    return ts._interval_type()(Fraction(lo), Fraction(hi), 53)
 
 
 def test_solver_infeasible_branch(monkeypatch):
@@ -293,11 +295,12 @@ def test_first_moment_input_validation():
         ts.exact_first_moment(2, 4, 2, Fraction(3, 2))
 
 
-def _iv_enclosure(c: Fraction):
+def _iv_enclosure(c: Fraction, d: Fraction | None = None):
     """(a*, k0, k1 endpoints) as ``mpmath.iv`` evaluates ``_coefficients``.
 
     The same bracket and precision as ``ts._enclosure``, with iv's own
-    conversions and its global precision, set and restored here.
+    conversions and its global precision, set and restored here.  Given a
+    density d, the exponent k0 + k1*d instead, as an iv interval.
     """
     log2c = max(1, c.numerator.bit_length() - c.denominator.bit_length() + 1)
     bits = 64 + 2 * log2c
@@ -308,9 +311,26 @@ def _iv_enclosure(c: Fraction):
         a = (m + iv.mpf([0, 1])) / 2**bits
         cm = iv.mpf(c.numerator) / c.denominator
         k0, k1 = ts._coefficients(a, cm, lambda x: x * iv.log(x))
+        if d is not None:
+            return k0 + k1 * (iv.mpf(d.numerator) / d.denominator)
         return Fraction(2 * m + 1, 2 ** (bits + 1)), k0._mpi_, k1._mpi_
     finally:
         iv.prec = saved
+
+
+# numerators wider than the enclosure's precision: 128 bits at prec 70, 160 at 118
+WIDE_C = [Fraction("3.00000000000000000000000000000000000001"), 95412 + Fraction(1, 10**43)]
+
+
+def _decimal_cs(seed: int, count: int) -> list[Fraction]:
+    """Seeded 40-significant-digit decimals c > 3, as the CLI parses ``--c`` text."""
+    rng = random.Random(seed)
+    cs = []
+    while len(cs) < count:
+        c = Fraction(f"{rng.randrange(10**39, 10**40)}e{rng.randint(-39, 60)}")
+        if c > 3:
+            cs.append(c)
+    return cs
 
 
 def test_enclosure_endpoints_equal_mpmath_iv():
@@ -321,9 +341,61 @@ def test_enclosure_endpoints_equal_mpmath_iv():
         c = Fraction(math.exp(rng.uniform(math.log(3), math.log(1e300))))
         if c > 3:
             cs.append(c)
-    for c in cs + REGRESSION_C:
+    for c in cs + REGRESSION_C + WIDE_C + _decimal_cs(2701, 50):
         a, k0, k1 = ts._enclosure(c)
         assert (a, k0.ends, k1.ends) == _iv_enclosure(c), c
+
+
+def test_certificate_equals_mpmath_iv_exponent_at_rational_densities():
+    """ok and max_exponent are the upper end of iv's k0 + k1*(p/q), at every kind of d."""
+    d_odd = 2378778
+    cases = [(Fraction(95412), d) for d in (
+        d_odd, Fraction(7130000, 3), Fraction(d_odd * 10**40 + 1, 10**40), Fraction(2376666),
+    )]
+    cases += [(Fraction(538002, 35), d) for d in (327091, Fraction(327090))]
+    for c in [Fraction(95412)] + WIDE_C + _decimal_cs(2702, 6):
+        d_min = Fraction(ts.regular_min_density(c).d_min)
+        # below d_min by 1e-9, and a numerator wider than the precision
+        for d in (d_min, d_min * (1 - Fraction(1, 10**9)), d_min + Fraction(1, 10**60)):
+            cases.append((c, d))
+    oks = set()
+    for c, d in cases:
+        check, top = ts.check_density_certificate(c, d), _iv_enclosure(c, Fraction(d))
+        assert (check.ok, check.max_exponent) == (top.b <= 0, float(top.b)), (c, d)
+        oks.add(check.ok)
+    assert oks == {True, False}
+
+
+def _exact(end) -> Fraction:
+    """A finite libmp value (sign, mantissa, exponent, bits) as an exact Fraction."""
+    sign, man, exp, _ = end
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+_wide_ints = st.integers(-(2**300), 2**300)
+_rationals = _wide_ints | st.builds(
+    Fraction, _wide_ints, st.integers(1, 2**200).map(lambda k: 3 * (2 * k + 1) * 2 ** (k % 7))
+)
+
+
+@given(x=_rationals, prec=st.sampled_from([53, 70, 118, 200]))
+@example(x=WIDE_C[0], prec=70)
+@example(x=WIDE_C[1], prec=118)
+@example(x=Fraction(-(10**50) - 1, 7), prec=53)
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+def test_interval_takes_ints_and_fractions_as_iv_does(x, prec):
+    """Both ways in enclose x, and give iv's ends: iv.mpf(p) rounded outward, then / q."""
+    interval = ts._interval_type()
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        want = (iv.mpf(x.numerator) / x.denominator)._mpi_
+    finally:
+        iv.prec = saved
+    for y in (interval(x, x, prec), interval(1, 1, prec) * x):
+        lo, hi = y.ends
+        assert _exact(lo) <= x <= _exact(hi)
+        assert y.ends == want
 
 
 def _bisect_bracket(c: Fraction, bits: int) -> int:
